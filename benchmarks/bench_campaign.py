@@ -86,11 +86,10 @@ sys.path.insert(
 from repro.chip import ComponentChip                      # noqa: E402
 from repro.core.campaign import FormalCampaign            # noqa: E402
 from repro.formal.bdd import nodes_created_total          # noqa: E402
-from repro.formal.workspace import BddWorkspace           # noqa: E402
 from repro.orchestrate import (                           # noqa: E402
     CampaignCheckpoint, CampaignConfig, CampaignOrchestrator,
     EngineConfig, ParallelExecutor, ResultCache, SerialExecutor,
-    WorkStealingExecutor,
+    WarmSpec, WorkStealingExecutor,
 )
 from repro.orchestrate.stats import (                     # noqa: E402
     STATS_SCHEMA, counter_groups,
@@ -131,7 +130,7 @@ def _bench_workspace():
     record is comparable across runs whatever ``--blocks`` selected;
     node creations are counted process-wide, which is why this probe
     runs serially.  Campaigns now *default* to shared workspaces, so
-    the cold side opts out explicitly (``share_bdd=False``) — this
+    the cold side runs without a ``bdd`` warm layer — this
     probe is the measurement behind that default.
     """
     blocks = ComponentChip(only_blocks=["C"]).blocks
@@ -143,17 +142,18 @@ def _bench_workspace():
     started = time.perf_counter()
     cold = FormalCampaign(
         blocks, engines=engines,
-        executor=SerialExecutor(share_bdd=False),
+        executor=SerialExecutor(),
     ).run()
     cold_s = time.perf_counter() - started
     cold_nodes = nodes_created_total() - nodes_before
 
-    workspace = BddWorkspace()
+    state = WarmSpec(bdd={}).build()
+    workspace = state.bdd
     nodes_before = nodes_created_total()
     started = time.perf_counter()
     shared = FormalCampaign(
         blocks, engines=engines,
-        executor=SerialExecutor(workspace=workspace),
+        executor=SerialExecutor(state=state),
     ).run()
     shared_s = time.perf_counter() - started
     shared_nodes = nodes_created_total() - nodes_before
@@ -417,7 +417,8 @@ def _bench_sat_workspace():
     def run(share_sat):
         orchestrator = CampaignOrchestrator(
             blocks, engines=engines,
-            executor=SerialExecutor(share_sat=share_sat))
+            executor=SerialExecutor(
+                warm=WarmSpec(sat={} if share_sat else None)))
         started = time.perf_counter()
         report = orchestrator.run()
         return report, time.perf_counter() - started
@@ -776,7 +777,8 @@ def main():
     # comparison stays like-for-like on workspace sharing
     parallel_report, parallel_s = _timed_run(
         chip.blocks,
-        executor=ParallelExecutor(processes=workers, share_bdd=True),
+        executor=ParallelExecutor(processes=workers,
+                                  warm=WarmSpec(bdd={})),
     )
     print(f"  parallel cold:      {parallel_s:7.2f}s "
           f"({parallel_report.stats['executor']})")
@@ -784,7 +786,7 @@ def main():
     stealing_report, stealing_s = _timed_run(
         chip.blocks,
         executor=WorkStealingExecutor(processes=workers,
-                                      share_bdd=True),
+                                      warm=WarmSpec(bdd={})),
     )
     print(f"  work-stealing cold: {stealing_s:7.2f}s "
           f"({stealing_report.stats['executor']})")

@@ -5,8 +5,14 @@ leaf modules of the golden chip (every one must PASS), then attributes
 the seven logic bugs by re-checking the defective modules of the
 pre-fix chip.  The printed table carries exactly the paper's columns;
 the §6.1 batch-feasibility narrative (X1: "about 20 hours on a single
-CPU") becomes the measured wall-clock total.
+CPU") becomes the measured wall-clock total.  The golden campaign runs
+on two work-stealing workers where the machine has two CPUs, with the
+default config's warm layers (compile store, BDD and SAT workspaces) in
+each worker: block D's k-induction proofs dominate it, and verdicts do
+not depend on the executor.
 """
+
+import os
 
 import pytest
 
@@ -16,6 +22,7 @@ from repro.core.report import format_status_summary, format_table2
 from repro.core.stereotypes import stereotype_vunits
 from repro.formal.budget import ResourceBudget
 from repro.formal.engine import FAIL, ModelChecker
+from repro.orchestrate import CampaignConfig
 from repro.psl.compile import compile_assertion
 
 
@@ -26,7 +33,10 @@ def _budget():
 
 def run_full_campaign():
     chip = ComponentChip.golden()
-    campaign = FormalCampaign(chip.blocks, budget_factory=_budget)
+    config = CampaignConfig(
+        executor=f"workstealing:{min(2, os.cpu_count() or 1)}")
+    campaign = FormalCampaign(chip.blocks, budget_factory=_budget,
+                              config=config)
     return campaign.run()
 
 
@@ -73,13 +83,19 @@ def test_table2_full_campaign(benchmark, publish):
         assert bugs_per_block.get(block, 0) == count, block
         report.blocks[block].bugs = count
 
+    # the published text is timing-free so reruns leave it unchanged;
+    # the measured wall time goes to stdout and the benchmark record
     table = format_table2(report)
-    summary = format_status_summary(report)
-    x1 = (f"\nX1 batch feasibility: paper ~20 h on a 2004 workstation "
-          f"(single CPU, single licence); measured "
-          f"{report.seconds / 60:.1f} min for all 2047 assertions on "
-          f"this machine.")
+    timed_summary = format_status_summary(report)
+    summary = timed_summary.replace(f" in {report.seconds:.1f}s", "")
+    x1 = ("\nX1 batch feasibility: paper ~20 h on a 2004 workstation "
+          "(single CPU, single licence); the measured wall time for all "
+          "2047 assertions and the executor that ran them are the "
+          "benchmark record's `seconds` and `executor`.")
     publish("table2_properties", table + "\n\n" + summary + x1)
+    print(f"{timed_summary}\nX1 measured {report.seconds / 60:.1f} min "
+          f"for all 2047 assertions on this machine.")
 
     benchmark.extra_info["properties"] = report.total_properties
     benchmark.extra_info["seconds"] = round(report.seconds, 1)
+    benchmark.extra_info["executor"] = report.stats["executor"]

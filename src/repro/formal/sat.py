@@ -319,6 +319,8 @@ class Solver:
         self._trail_lim.append(len(self._trail))
 
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
+        # _propagate repeats these writes inline (assign, level, reason,
+        # phase, trail): change one, change both
         value = self._value(lit)
         if value != UNASSIGNED:
             return value == 1
@@ -335,45 +337,58 @@ class Solver:
         self._watches[lit_neg(clause.lits[1])].append(clause)
 
     def _propagate(self) -> Optional[_Clause]:
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
+        # the solver's innermost loop: literal values and the implied
+        # enqueue are written out inline (same steps as _value and
+        # _enqueue) because per-literal method calls dominate its cost
+        assign, trail, watches = self._assign, self._trail, self._watches
+        level = len(self._trail_lim)
+        stats = self.stats
+        while self._qhead < len(trail):
+            lit = trail[self._qhead]
             self._qhead += 1
-            self.stats["propagations"] += 1
-            watch_list = self._watches[lit]
-            kept: List[_Clause] = []
-            index = 0
-            while index < len(watch_list):
+            stats["propagations"] += 1
+            watch_list = watches[lit]
+            # make sure the falsified watch is lits[1]
+            false_lit = lit ^ 1
+            # compact the watches kept here in place: slot ``keep`` never
+            # runs ahead of ``index``, and a new watch never lands here
+            index = keep = 0
+            size = len(watch_list)
+            while index < size:
                 clause = watch_list[index]
                 index += 1
                 lits = clause.lits
-                # make sure the falsified watch is lits[1]
-                false_lit = lit_neg(lit)
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) == 1:
-                    kept.append(clause)
+                var = first >> 1
+                if assign[var] == 1 ^ (first & 1):
+                    # satisfied by the other watch
+                    watch_list[keep] = clause
+                    keep += 1
                     continue
-                # search a new watch
-                found = False
+                # search a new watch: a literal that is not false
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lit_neg(lits[1])].append(clause)
-                        found = True
+                    other = lits[k]
+                    if assign[other >> 1] != other & 1:  # unassigned/true
+                        lits[1], lits[k] = other, lits[1]
+                        watches[other ^ 1].append(clause)
                         break
-                if found:
-                    continue
-                kept.append(clause)
-                if not self._enqueue(first, clause):
-                    # conflict: keep remaining watches and report
-                    kept.extend(watch_list[index:])
-                    del watch_list[:]
-                    watch_list.extend(kept)
-                    self._qhead = len(self._trail)
-                    return clause
-            del watch_list[:]
-            watch_list.extend(kept)
+                else:
+                    watch_list[keep] = clause
+                    keep += 1
+                    if assign[var] != UNASSIGNED:
+                        # first is false: conflict — keep the remaining
+                        # watches and report
+                        del watch_list[keep:index]
+                        self._qhead = len(trail)
+                        return clause
+                    # unit: imply first
+                    assign[var] = self._phase[var] = 1 ^ (first & 1)
+                    self._level[var] = level
+                    self._reason[var] = clause
+                    trail.append(first)
+            del watch_list[keep:]
         return None
 
     def _analyze(self, conflict: _Clause) -> "tuple[List[int], int]":
@@ -384,24 +399,25 @@ class Solver:
         clause = conflict
         trail_index = len(self._trail) - 1
         current_level = self._decision_level()
+        level, trail = self._level, self._trail
 
         while True:
             self._bump_clause(clause)
             start = 0 if lit is None else 1
             for reason_lit in clause.lits[start:]:
-                var = lit_var(reason_lit)
-                if seen[var] or self._level[var] == 0:
+                var = reason_lit >> 1
+                if seen[var] or level[var] == 0:
                     continue
                 seen[var] = True
                 self._bump_var(var)
-                if self._level[var] >= current_level:
+                if level[var] >= current_level:
                     counter += 1
                 else:
                     learned.append(reason_lit)
             # pick next literal from trail
-            while not seen[lit_var(self._trail[trail_index])]:
+            while not seen[trail[trail_index] >> 1]:
                 trail_index -= 1
-            lit = self._trail[trail_index]
+            lit = trail[trail_index]
             trail_index -= 1
             var = lit_var(lit)
             seen[var] = False
@@ -418,8 +434,9 @@ class Solver:
 
         # clause minimisation: drop literals implied by the rest
         minimized = [learned[0]]
+        learned_vars = {lit_var(l) for l in learned}
         for candidate in learned[1:]:
-            if not self._redundant(candidate, seen, learned):
+            if not self._redundant(candidate, learned_vars):
                 minimized.append(candidate)
 
         if len(minimized) == 1:
@@ -437,15 +454,13 @@ class Solver:
                     break
         return minimized, backtrack
 
-    def _redundant(self, lit: int, seen: List[bool],
-                   learned: List[int]) -> bool:
+    def _redundant(self, lit: int, learned_vars: set) -> bool:
         """Cheap non-recursive redundancy check: a literal is dropped if
-        its reason clause consists only of other learned literals or
-        level-0 assignments."""
+        its reason clause consists only of other learned literals
+        (``learned_vars``) or level-0 assignments."""
         reason = self._reason[lit_var(lit)]
         if reason is None:
             return False
-        learned_vars = {lit_var(l) for l in learned}
         for other in reason.lits:
             var = lit_var(other)
             if var == lit_var(lit):
@@ -469,11 +484,12 @@ class Solver:
         if self._decision_level() <= level:
             return
         boundary = self._trail_lim[level]
+        assign, reason, insert = self._assign, self._reason, self._order.insert
         for lit in reversed(self._trail[boundary:]):
-            var = lit_var(lit)
-            self._assign[var] = UNASSIGNED
-            self._reason[var] = None
-            self._order.insert(var)
+            var = lit >> 1
+            assign[var] = UNASSIGNED
+            reason[var] = None
+            insert(var)
         del self._trail[boundary:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)

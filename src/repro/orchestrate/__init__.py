@@ -22,7 +22,9 @@ scheduled, restartable job graph:
   the flat, ordered job list;
 - :mod:`~repro.orchestrate.executor` — serial, chunked-pool, and
   work-stealing multiprocessing executors, all bound to the
-  results-in-plan-order contract;
+  results-in-plan-order contract, and the :class:`WarmSpec` /
+  :class:`WarmState` bundle of per-worker warm-state layers every
+  executor takes;
 - :mod:`~repro.orchestrate.fleet` — the socket-fanout
   :class:`FleetExecutor`: a TCP coordinator leasing scheduling-policy
   batches to launcher-started worker processes over the portable wire
@@ -78,8 +80,9 @@ Shared BDD workspaces
 
 A campaign checks each module many times (one job per asserted
 property), and every BDD-family engine stage used to rebuild its
-hash-consed node table from scratch.  Passing ``share_bdd=True`` to any
-executor runs its jobs against a
+hash-consed node table from scratch.  A :class:`WarmSpec` with a
+``bdd`` entry (``share_bdd`` in ``CampaignConfig``) runs an executor's
+jobs against a
 :class:`~repro.formal.workspace.BddWorkspace` — per-module managers
 whose node tables and operation memos persist across portfolio stages
 and across jobs of the same module (keyed by
@@ -103,9 +106,9 @@ changes: see ``benchmarks/bench_campaign.py``'s workspace record.
 Shared SAT workspaces
 ---------------------
 
-``share_sat=True`` (the campaign default via ``CampaignConfig``'s
-``[sat]`` section) is the SAT-family counterpart: ``bmc``/``kind``
-stages query a :class:`~repro.formal.satspace.SatWorkspace` of live
+A :class:`WarmSpec` with a ``sat`` entry (``sat_workspace`` in
+``CampaignConfig``, the default) is the SAT-family counterpart:
+``bmc``/``kind`` stages query a :class:`~repro.formal.satspace.SatWorkspace` of live
 incremental solver sessions.  All assertions of one (module, vunit)
 pair compile into a *cluster* — one shared AIG with a bad output per
 assertion — and each session keeps its solver, unrolled time frames,
@@ -159,7 +162,10 @@ from .job import (
     encode_result, job_fingerprint, portfolio, run_check_job,
 )
 from .planner import CampaignPlan, plan_campaign
-from .executor import ParallelExecutor, SerialExecutor, WorkStealingExecutor
+from .executor import (
+    ParallelExecutor, SerialExecutor, WarmSpec, WarmState,
+    WorkStealingExecutor,
+)
 from .fleet import (
     FleetExecutor, LocalFleetLauncher, SshFleetLauncher,
     parse_launcher_spec,
@@ -183,6 +189,7 @@ __all__ = [
     "compile_job", "job_fingerprint", "portfolio", "run_check_job",
     "CampaignPlan", "plan_campaign",
     "ParallelExecutor", "SerialExecutor", "WorkStealingExecutor",
+    "WarmSpec", "WarmState",
     "FleetExecutor", "LocalFleetLauncher", "SshFleetLauncher",
     "parse_launcher_spec",
     "ResultCache", "decode_result", "encode_result",

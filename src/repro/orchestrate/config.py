@@ -81,6 +81,9 @@ from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from ..formal.engine import registered_engines
+from .executor import (
+    ParallelExecutor, SerialExecutor, WarmSpec, WorkStealingExecutor,
+)
 from .job import DEFAULT_PORTFOLIO_METHODS, EngineConfig
 from .policy import (
     PORTFOLIO_POLICIES, SCHEDULING_POLICIES, portfolio_policy,
@@ -292,10 +295,12 @@ class CampaignConfig:
     #: POBDD partitioning window variables
     num_window_vars: int = 2
 
-    #: executor spec — ``serial`` | ``parallel[:N]`` | ``workstealing[:N]``
+    #: executor spec — ``serial`` | ``parallel[:N]`` |
+    #: ``workstealing[:N]`` | ``fleet[:N]``
     executor: str = "serial"
     #: work-queue scheduling policy (``fifo`` | ``module-affinity``);
-    #: consulted by the work-stealing executor, a no-op elsewhere
+    #: consulted by the work-stealing and fleet executors, a no-op
+    #: elsewhere
     scheduling: str = "fifo"
     #: portfolio attempt-order policy (``static`` | ``adaptive``)
     portfolio: str = "static"
@@ -705,86 +710,47 @@ class CampaignConfig:
             for method in methods
         )
 
-    def workspace_options(self) -> Dict[str, object]:
-        """Kwargs for the :class:`~repro.formal.workspace.BddWorkspace`
-        constructor (the executor builds one per worker when
-        ``share_bdd`` is on)."""
-        return {
-            "max_managers": self.workspace_max_managers,
-            "retain_memos": self.workspace_retain_memos,
-            "max_manager_nodes": self.workspace_max_manager_nodes,
-        }
-
-    def sat_workspace_options(self) -> Dict[str, object]:
-        """Kwargs for the :class:`~repro.formal.satspace.SatWorkspace`
-        constructor (the executor builds one per worker when
-        ``sat_workspace`` is on)."""
-        return {
-            "cluster_limit": self.sat_cluster_limit,
-            "max_sessions": self.sat_max_sessions,
-            "max_session_clauses": self.sat_max_session_clauses,
-        }
-
-    def compile_store_options(self) -> Dict[str, object]:
-        """Kwargs for the
-        :class:`~repro.formal.problems.CompiledProblemStore`
-        constructor (each executor worker builds one when
-        ``compile_store`` is on)."""
-        return {
-            "max_designs": self.compile_max_designs,
-            "max_problems": self.compile_max_problems,
-        }
+    def warm_spec(self) -> WarmSpec:
+        """The warm-state layers every executor worker builds: the
+        ``[compile]``, ``[workspace]`` and ``[sat]`` valves as
+        constructor kwargs, ``None`` for a layer that is switched off
+        (``compile_store`` / ``share_bdd`` / ``sat_workspace``)."""
+        return WarmSpec(
+            store={"max_designs": self.compile_max_designs,
+                   "max_problems": self.compile_max_problems}
+            if self.compile_store else None,
+            bdd={"max_managers": self.workspace_max_managers,
+                 "retain_memos": self.workspace_retain_memos,
+                 "max_manager_nodes": self.workspace_max_manager_nodes}
+            if self.share_bdd else None,
+            sat={"cluster_limit": self.sat_cluster_limit,
+                 "max_sessions": self.sat_max_sessions,
+                 "max_session_clauses": self.sat_max_session_clauses}
+            if self.sat_workspace else None,
+        )
 
     def build_executor(self):
         """The executor this config describes, wired with the
-        ``share_bdd`` setting, the workspace valves, the compile-store
-        knobs, and (for the work-stealing executor) the scheduling
-        policy."""
-        from .executor import (
-            ParallelExecutor, SerialExecutor, WorkStealingExecutor,
-        )
+        :meth:`warm_spec` and (for the work-stealing and fleet
+        executors) the scheduling policy."""
         from .fleet import FleetExecutor
         kind, processes = parse_executor_spec(self.executor)
-        options = self.workspace_options()
-        store_options = self.compile_store_options()
-        sat_options = self.sat_workspace_options()
+        warm = self.warm_spec()
         if kind == "serial":
-            return SerialExecutor(share_bdd=self.share_bdd,
-                                  workspace_options=options,
-                                  compile_store=self.compile_store,
-                                  store_options=store_options,
-                                  share_sat=self.sat_workspace,
-                                  sat_options=sat_options)
+            return SerialExecutor(warm=warm)
         if kind == "parallel":
-            return ParallelExecutor(processes=processes,
-                                    share_bdd=self.share_bdd,
-                                    workspace_options=options,
-                                    compile_store=self.compile_store,
-                                    store_options=store_options,
-                                    share_sat=self.sat_workspace,
-                                    sat_options=sat_options)
+            return ParallelExecutor(processes=processes, warm=warm)
         if kind == "fleet":
-            return FleetExecutor(workers=processes,
-                                 port=self.fleet_port,
-                                 lease_timeout=self.fleet_lease_timeout,
-                                 heartbeat_interval=
-                                 self.fleet_heartbeat_interval,
-                                 launcher=self.fleet_launcher,
-                                 scheduling=self.build_scheduling(),
-                                 share_bdd=self.share_bdd,
-                                 workspace_options=options,
-                                 compile_store=self.compile_store,
-                                 store_options=store_options,
-                                 share_sat=self.sat_workspace,
-                                 sat_options=sat_options)
+            return FleetExecutor(
+                workers=processes, port=self.fleet_port,
+                lease_timeout=self.fleet_lease_timeout,
+                heartbeat_interval=self.fleet_heartbeat_interval,
+                launcher=self.fleet_launcher,
+                scheduling=self.build_scheduling(), warm=warm,
+            )
         return WorkStealingExecutor(processes=processes,
-                                    share_bdd=self.share_bdd,
-                                    workspace_options=options,
                                     scheduling=self.build_scheduling(),
-                                    compile_store=self.compile_store,
-                                    store_options=store_options,
-                                    share_sat=self.sat_workspace,
-                                    sat_options=sat_options)
+                                    warm=warm)
 
     def build_scheduling(self):
         """The scheduling policy instance (``fifo`` unless configured)."""

@@ -4,121 +4,88 @@ An executor is anything with a ``name`` and a ``map(jobs)`` method that
 yields one :class:`JobResult` per job **in job-index order**.  The
 ordering contract is what makes every execution strategy produce the
 same report: the orchestrator aggregates results as they stream out,
-so serial, process-parallel, and any future distributed executor are
+so serial, process-parallel, and multi-host executors are
 interchangeable without touching aggregation or report rendering.
 (``tests/test_executor_contract.py`` is the executable form of the
 contract — any new executor must pass that battery unchanged.)
 
 ``ParallelExecutor`` ships pickled jobs to a ``multiprocessing`` pool
 and relies on ``imap`` (ordered, lazy) to restore plan order.  Each
-worker keeps a per-process elaboration cache so consecutive jobs of the
-same module (the planner emits them contiguously) share one flattened
+worker keeps its own warm state, so consecutive jobs of the same
+module (the planner emits them contiguously) share one elaborated
 design, mirroring the serial executor's reuse.
 
 ``WorkStealingExecutor`` replaces ``imap``'s static chunking with a
-shared job queue that idle workers pull from one job at a time: a
+shared job queue that idle workers pull from one unit at a time: a
 straggler check pins one worker while the rest keep draining the queue,
 instead of idling the pool behind a slow chunk.  Results come back
 unordered and are reassembled into plan order by the parent, so the
-streaming contract is preserved bit for bit.
+streaming contract is preserved bit for bit.  The socket-fanout
+:class:`~repro.orchestrate.fleet.FleetExecutor` carries the same design
+across hosts and shares this module's warm-state plumbing.
 
-Shared BDD workspaces
----------------------
+Warm state
+----------
 
-Every executor takes ``share_bdd=True`` to run its jobs against a
-:class:`~repro.formal.workspace.BddWorkspace`: BDD-family engine stages
-lease a per-module hash-consed manager instead of building their node
-table from scratch, so the many jobs of one module (the planner emits
-them contiguously; ``CampaignPlan.module_groups()`` shows the
-grouping) reuse each other's nodes and operation memos.  PASS/FAIL verdicts are
-sharing-invariant, and while no BDD-node budget trips (the default
-regime) ``CampaignReport.canonical_bytes`` is identical with sharing
-on or off; a *binding* node budget is the one exception — a warmed
-manager is charged only fresh nodes, so a check that would TIMEOUT
-cold may complete warm (see :mod:`repro.orchestrate` for the full
-contract).
+Three per-worker layers make a campaign's repeated checks cheap:
 
-Workspace scope follows worker scope, keeping sharing lock-free:
+- a content-addressed :class:`~repro.formal.problems.CompiledProblemStore`
+  — one elaborated design per module RTL digest, one compiled
+  transition system per assertion (two modules with different RTL can
+  never share a digest, so golden-vs-patched runs are safe by
+  construction);
+- a :class:`~repro.formal.workspace.BddWorkspace` — per-module
+  hash-consed BDD managers that BDD-family engine stages lease instead
+  of building a node table from scratch;
+- a :class:`~repro.formal.satspace.SatWorkspace` — clustered
+  incremental solver sessions that ``bmc``/``kind`` stages query
+  instead of building cold solvers.
 
-- ``SerialExecutor`` — one workspace for the whole run (pass
-  ``workspace=`` to keep one warm across *runs*);
-- ``ParallelExecutor`` / ``WorkStealingExecutor`` — one private
-  workspace per worker process, created by the worker itself (managers
-  hold megabytes of node tables and never cross process boundaries).
-  Affinity is best-effort, from plan contiguity alone: a pool chunk
-  holds consecutive (mostly same-module) jobs, but chunk boundaries
-  are size-based and can split a module's group across workers, and
-  the work-stealing pool interleaves modules freely — so every worker
-  retains a small LRU pool of managers
-  (``BddWorkspace(max_managers=...)``) rather than relying on strict
-  pinning.  (Module-batched scheduling over
-  ``CampaignPlan.module_groups()`` is an open ROADMAP item.)
+A :class:`WarmSpec` names the layers a worker builds, as constructor
+kwargs per layer with ``None`` for a layer that is off;
+``CampaignConfig.warm_spec()`` derives it from the ``[compile]``,
+``[workspace]`` and ``[sat]`` sections, and the bare default keeps the
+compile store only.  Every executor takes one spec (``warm=``) and each
+worker builds its own :class:`WarmState` from it, so warm state never
+crosses a process boundary and reuse stays lock-free:
 
-Every executor forwards ``workspace_options`` (a kwargs dict for the
-:class:`~repro.formal.workspace.BddWorkspace` constructor) to the
-workspaces it creates, so the memory valves — ``max_managers``,
-``retain_memos``, ``max_manager_nodes`` — are tunable on long
-campaigns: e.g. ``WorkStealingExecutor(share_bdd=True,
-workspace_options={"max_manager_nodes": 500_000,
-"retain_memos": False})``.
+- ``SerialExecutor`` — one state for the whole run (pass ``state=`` to
+  keep one warm across *runs*);
+- pool, work-stealing and fleet workers — one private state per worker
+  process.  Module-affinity scheduling (:mod:`repro.orchestrate.policy`)
+  hands a work-stealing or fleet worker one module's whole job group,
+  so the group hits one warm design and one hot manager; FIFO pulls and
+  pool chunks interleave modules and lean on each layer's LRU bound.
 
-Shared SAT workspaces
----------------------
+Verdicts, depths and counterexample bytes are warm-state invariant
+(failing traces are re-derived cold), so
+``CampaignReport.canonical_bytes`` is identical with any layer on or
+off.  The one exception is a *binding* budget: a warmed BDD manager is
+charged only fresh nodes, so a check that would TIMEOUT cold may
+complete warm, and retained SAT clauses can steer CDCL search either
+way (see :mod:`repro.orchestrate` for the full contract).
 
-``share_sat=True`` is the SAT-family counterpart: jobs run against a
-:class:`~repro.formal.satspace.SatWorkspace`, so ``bmc``/``kind``
-stages query shared incremental solver sessions — clustered
-per-(module, vunit) CNFs, retained time-frame encodings, learned
-clauses surviving across assertions under per-assertion activation
-literals — instead of building cold solvers (``sat_options`` forwards
-the constructor kwargs: ``cluster_limit``, ``max_sessions``,
-``max_session_clauses``).  Verdicts, depths, and counterexample bytes
-are sharing-invariant (failing traces are re-derived cold on the solo
-compile), so ``CampaignReport.canonical_bytes`` is identical with
-sharing on or off; like the BDD workspace, the one exception is a
-*binding* budget — and unlike the BDD case the effect is two-sided,
-since retained clauses can steer CDCL search either way.  Scope follows
-worker scope exactly as for BDD workspaces: serial executors hold one
-workspace (or accept an explicit ``sat_workspace=`` to keep sessions
-warm across runs), pool workers each build their own.
-``executor.sat_stats()`` aggregates the counters after a ``map``; the
-orchestrator surfaces them in ``report.stats["sat_workspace"]``
-(``workspace_stats()`` / ``report.stats["bdd_workspace"]`` do the same
-for the BDD side).
-
-Compiled-problem stores
------------------------
-
-Alongside its workspace, every worker holds a content-addressed
-:class:`~repro.formal.problems.CompiledProblemStore` (on by default,
-``compile_store=False`` to opt out; ``store_options`` forwards the
-``max_designs`` / ``max_problems`` LRU bounds).  The store replaces the
-old one-entry design cache: a module's many jobs share one elaborated
-design keyed by the module's RTL digest, which makes module-affinity
-batches (one queue pull = one module's whole job group) hit a warm
-design for every job after the group's first — and makes the
-golden-vs-patched same-name case safe by construction, since two
-modules with different RTL can never share a digest.  Store scope
-follows worker scope exactly like workspaces (serial: one per
-executor; pools: one private store per worker process), keeping reuse
-lock-free.  ``executor.compile_stats()`` aggregates every worker's
-hit/miss/evict counters after a ``map``; the orchestrator surfaces the
-aggregate in ``report.stats["compile_store"]``.
+``executor.warm_stats()`` returns the three counter groups of the last
+``map`` — ``compile_store``, ``sat_workspace``, ``bdd_workspace``,
+each summed over the workers with a ``workers`` count, ``{}`` for a
+layer that is off — and the orchestrator surfaces them in
+``report.stats``.
 
 The process wire format
 -----------------------
 
-Pool workers no longer pickle whole :class:`JobResult` objects back to
-the parent: results cross the process boundary as
-:func:`~repro.orchestrate.job.encode_job_result` dicts — identification
-scalars plus the serialized-result codec the cache and checkpoint
-already speak, with FAIL counterexamples carried as canonical input
-frames rather than the compiled transition system they replay on.  The
-parent re-pairs each entry with its plan job and decodes through its
-own compile store (:func:`~repro.orchestrate.job.decode_job_result`),
-revalidating every FAIL trace by replay.  Result pickles shrink from
-the whole AIG to a few hundred bytes, and the same dict shape is the
-wire format a future socket/SSH multi-host executor ships.
+Pool workers do not pickle whole :class:`JobResult` objects back to the
+parent: each result crosses the process boundary as a payload dict —
+the :func:`~repro.orchestrate.job.encode_job_result` encoding
+(identification scalars plus the serialized-result codec the cache and
+checkpoint already speak, with FAIL counterexamples carried as
+canonical input frames rather than the compiled transition system they
+replay on), the worker's ``pid``, and one ``warm`` key holding its
+:meth:`WarmState.stats` snapshot.  The parent re-pairs each entry with
+its plan job and decodes through its own compile store
+(:func:`~repro.orchestrate.job.decode_job_result`), revalidating every
+FAIL trace by replay.  The fleet's TCP result frames carry the same
+keys as JSON.
 """
 
 from __future__ import annotations
@@ -127,6 +94,7 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_module
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..formal.problems import CompiledProblemStore
@@ -136,166 +104,198 @@ from .job import (
     CheckJob, JobResult, decode_job_result, encode_job_result,
     run_check_job,
 )
+from .policy import FifoScheduling
+
+#: the ``report.stats`` group of each warm-state layer, in
+#: :class:`WarmState` field order
+WARM_GROUPS = ("compile_store", "bdd_workspace", "sat_workspace")
 
 
-def _build_store(compile_store: bool,
-                 store_options: Optional[dict]
-                 ) -> Optional[CompiledProblemStore]:
-    return CompiledProblemStore(**(store_options or {})) \
-        if compile_store else None
+@dataclass(frozen=True)
+class WarmSpec:
+    """The warm-state layers a worker builds: constructor kwargs for the
+    compile store, the BDD workspace and the SAT workspace, ``None``
+    for a layer that is off.  Plain picklable data — it is shipped to
+    every worker process, which builds its own :class:`WarmState`."""
+
+    store: Optional[dict] = field(default_factory=dict)
+    bdd: Optional[dict] = None
+    sat: Optional[dict] = None
+
+    def build(self) -> "WarmState":
+        """A fresh :class:`WarmState` holding every enabled layer."""
+        return WarmState(*(
+            None if kwargs is None else layer(**kwargs)
+            for layer, kwargs in ((CompiledProblemStore, self.store),
+                                  (BddWorkspace, self.bdd),
+                                  (SatWorkspace, self.sat))
+        ))
 
 
-def _build_sat(share_sat: bool,
-               sat_options: Optional[dict]) -> Optional[SatWorkspace]:
-    return SatWorkspace(**(sat_options or {})) if share_sat else None
+@dataclass
+class WarmState:
+    """One worker's live warm-state layers (``None`` = off)."""
+
+    store: Optional[CompiledProblemStore] = None
+    bdd: Optional[BddWorkspace] = None
+    sat: Optional[SatWorkspace] = None
+
+    def run(self, job: CheckJob) -> JobResult:
+        """Run one job against these layers."""
+        return run_check_job(job, self.store, workspace=self.bdd,
+                             sat_workspace=self.sat)
+
+    def stats(self) -> Dict[str, dict]:
+        """Each layer's counters by ``report.stats`` group (``{}`` for
+        a layer that is off)."""
+        return {group: layer.stats() if layer is not None else {}
+                for group, layer in zip(WARM_GROUPS,
+                                        (self.store, self.bdd, self.sat))}
 
 
-def _merge_worker_stats(worker_stats: Dict[int, dict]) -> Dict[str, int]:
-    """Sum the freshest per-worker counter snapshots (``{}`` when no
-    worker shipped any)."""
-    if not worker_stats:
-        return {}
-    merged = CompiledProblemStore.merge_stats(*worker_stats.values())
-    merged["workers"] = len(worker_stats)
-    return merged
+class WarmStats:
+    """Per-worker warm-state snapshots, merged into one report.
 
-
-def _note_worker_stats(worker_stats: Dict[int, dict], pid: int,
-                       snapshot: dict) -> None:
-    """Fold one worker's store-counter snapshot into the per-pid map.
-
-    Snapshots are monotonic counters but arrive in *result* order, not
-    chronological order (plan-order reassembly, and scheduling policies
-    may hand units out in any order) — so the freshest snapshot per pid
-    is the element-wise maximum, not the last one seen.
+    Snapshots arrive in *result* order, not chronological order
+    (plan-order reassembly, and scheduling policies may hand units out
+    in any order), so each worker's value per counter is the maximum
+    seen: the latest value of a lifetime counter (hits, misses,
+    leases...), and the worker's *peak* for a gauge (``designs``,
+    ``sessions``, ``managers``, ``total_nodes``...).  :meth:`merged`
+    then sums every group over the workers that reported it.
     """
-    current = worker_stats.setdefault(pid, {})
-    for key, value in snapshot.items():
-        if value > current.get(key, 0):
-            current[key] = value
+
+    def __init__(self) -> None:
+        self._workers: Dict[object, Dict[str, dict]] = {}
+
+    def note(self, worker, snapshot: Dict[str, dict]) -> None:
+        groups = self._workers.setdefault(worker, {})
+        for group, counters in snapshot.items():
+            current = groups.setdefault(group, {})
+            for key, value in counters.items():
+                current[key] = max(value, current.get(key, value))
+
+    def merged(self) -> Dict[str, dict]:
+        """Every group summed over its workers plus a ``workers`` count;
+        ``{}`` for a group no worker reported (the layer is off)."""
+        merged = {}
+        for group in WARM_GROUPS:
+            reports = [groups[group] for groups in self._workers.values()
+                       if groups.get(group)]
+            merged[group] = {**CompiledProblemStore.merge_stats(*reports),
+                             "workers": len(reports)} if reports else {}
+        return merged
 
 
 class SerialExecutor:
     """Run every job in-process, in plan order (the default).
 
-    ``share_bdd=True`` runs all jobs against one
-    :class:`~repro.formal.workspace.BddWorkspace` (built with
-    ``workspace_options``); alternatively pass an explicit
-    ``workspace`` to share (and inspect, via ``workspace.stats()``) a
-    manager pool across multiple runs.  The compiled-problem store
-    works the same way: on by default (``compile_store=False`` opts
-    out, ``store_options`` tunes the LRU bounds), or pass an explicit
-    ``store`` to keep compiled designs warm across runs.  SAT-session
-    sharing follows the same shape: ``share_sat=True`` builds a
-    :class:`~repro.formal.satspace.SatWorkspace` (with ``sat_options``),
-    or pass an explicit ``sat_workspace`` to keep solver sessions warm
-    across runs.
+    ``warm`` picks the warm-state layers (default: the compile store
+    only); pass an explicit ``state`` instead to keep compiled designs,
+    BDD managers and SAT sessions warm across runs.
     """
 
     name = "serial"
 
-    def __init__(self, workspace: Optional[BddWorkspace] = None,
-                 share_bdd: bool = False,
-                 workspace_options: Optional[dict] = None,
-                 store: Optional[CompiledProblemStore] = None,
-                 compile_store: bool = True,
-                 store_options: Optional[dict] = None,
-                 sat_workspace: Optional[SatWorkspace] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
-        if workspace is None and share_bdd:
-            workspace = BddWorkspace(**(workspace_options or {}))
-        self.workspace = workspace
-        if store is None:
-            store = _build_store(compile_store, store_options)
-        self.store = store
-        if sat_workspace is None:
-            sat_workspace = _build_sat(share_sat, sat_options)
-        self.sat_workspace = sat_workspace
+    def __init__(self, warm: Optional[WarmSpec] = None,
+                 state: Optional[WarmState] = None) -> None:
+        self.state = state if state is not None \
+            else (warm or WarmSpec()).build()
 
     def map(self, jobs: Iterable[CheckJob]) -> Iterator[JobResult]:
         """Yield one :class:`JobResult` per job, lazily, in plan order
         (trivially — jobs run one at a time in this process)."""
         for job in jobs:
-            yield run_check_job(job, self.store,
-                                workspace=self.workspace,
-                                sat_workspace=self.sat_workspace)
+            yield self.state.run(job)
 
-    def compile_stats(self) -> Dict[str, int]:
-        """The store's lifetime counters (``{}`` when the store is
-        off) — the serial executor's single worker is this process."""
-        if self.store is None:
-            return {}
-        return {**self.store.stats(), "workers": 1}
-
-    def sat_stats(self) -> Dict[str, int]:
-        """The SAT workspace's lifetime counters (``{}`` when off)."""
-        if self.sat_workspace is None:
-            return {}
-        return {**self.sat_workspace.stats(), "workers": 1}
-
-    def workspace_stats(self) -> Dict[str, int]:
-        """The BDD workspace's lifetime counters (``{}`` when off)."""
-        if self.workspace is None:
-            return {}
-        return {**self.workspace.stats(), "workers": 1}
+    def warm_stats(self) -> Dict[str, dict]:
+        """The state's lifetime counters — the serial executor's single
+        worker is this process."""
+        stats = WarmStats()
+        stats.note("serial", self.state.stats())
+        return stats.merged()
 
 
-#: per-worker-process compiled-problem store; installed by
-#: :func:`_init_worker` (``None`` when the parent opted out)
-_WORKER_STORE: Optional[CompiledProblemStore] = None
+class _WorkerPool:
+    """Parent-side plumbing shared by the multi-worker executors: the
+    warm spec, the in-process fallback for runs too small to fan out,
+    and the warm-stats aggregate of the last ``map``."""
 
-#: per-worker-process shared BDD workspace; installed by
-#: :func:`_init_worker` when the parent executor asked for sharing
-_WORKER_WORKSPACE: Optional[BddWorkspace] = None
+    kind = ""
 
-#: per-worker-process shared SAT workspace; installed by
-#: :func:`_init_worker` when the parent executor asked for sharing
-_WORKER_SAT: Optional[SatWorkspace] = None
+    def __init__(self, warm: Optional[WarmSpec]) -> None:
+        self.warm = warm or WarmSpec()
+        self._fallback: Optional[SerialExecutor] = None
+        self._warm_stats = WarmStats()
+
+    @property
+    def name(self) -> str:
+        """Reports the *effective* mode: a 1-worker or <=1-job run never
+        starts a worker, and stats must not claim it did."""
+        if self._fallback is not None:
+            return f"{self.kind}[serial-fallback]"
+        return self.kind
+
+    def _fall_back(self, jobs: List[CheckJob], workers: int) -> bool:
+        """Start a run: True (with the serial fallback installed) when
+        there is nothing to parallelise — <=1 job or 1 worker, where
+        workers could only add overhead."""
+        self._warm_stats = WarmStats()
+        small = len(jobs) <= 1 or workers == 1
+        self._fallback = SerialExecutor(warm=self.warm) if small else None
+        return small
+
+    def warm_stats(self) -> Dict[str, dict]:
+        """Warm-state counters of the last ``map``, summed over the
+        workers that ran it (each ships its snapshot with every
+        result)."""
+        if self._fallback is not None:
+            return self._fallback.warm_stats()
+        return self._warm_stats.merged()
 
 
-def _init_worker(share_bdd: bool,
-                 workspace_options: Optional[dict] = None,
-                 compile_store: bool = True,
-                 store_options: Optional[dict] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
-    """Pool-worker initializer: give this worker its own private BDD
-    workspace, SAT workspace, and compiled-problem store (none is ever
-    shared across processes)."""
-    global _WORKER_WORKSPACE, _WORKER_STORE, _WORKER_SAT
-    _WORKER_WORKSPACE = BddWorkspace(**(workspace_options or {})) \
-        if share_bdd else None
-    _WORKER_STORE = _build_store(compile_store, store_options)
-    _WORKER_SAT = _build_sat(share_sat, sat_options)
+def _batches(scheduling, jobs: List[CheckJob]) -> List[List[CheckJob]]:
+    """The scheduling policy's work units, checked to cover every job
+    exactly once."""
+    units = scheduling.batches(jobs)
+    if sorted(job.index for unit in units for job in unit) != \
+            sorted(job.index for job in jobs):
+        raise RuntimeError(
+            f"scheduling policy {scheduling.name!r} lost or "
+            f"duplicated jobs while batching"
+        )
+    return units
+
+
+def _wire_payload(state: WarmState, job: CheckJob) -> dict:
+    """Run one job in a worker and return the wire-format payload: the
+    encoded result plus this worker's pid and warm-state snapshot."""
+    return {"result": encode_job_result(state.run(job)),
+            "pid": os.getpid(), "warm": state.stats()}
+
+
+#: this pool worker's warm state, installed by :func:`_init_worker`
+_WORKER_STATE: Optional[WarmState] = None
+
+
+def _init_worker(warm: WarmSpec) -> None:
+    """Pool-worker initializer: build this worker's private warm
+    state."""
+    global _WORKER_STATE
+    _WORKER_STATE = warm.build()
 
 
 def _worker_run(job: CheckJob) -> dict:
-    """Run one job in a pool worker and return the wire-format payload:
-    the encoded result plus this worker's identity and warm-state
-    counters (a handful of ints — the parent keeps each worker's latest
-    snapshot and aggregates after the run)."""
-    job_result = run_check_job(job, _WORKER_STORE,
-                               workspace=_WORKER_WORKSPACE,
-                               sat_workspace=_WORKER_SAT)
-    return {
-        "result": encode_job_result(job_result),
-        "pid": os.getpid(),
-        "store": _WORKER_STORE.stats()
-        if _WORKER_STORE is not None else None,
-        "sat": _WORKER_SAT.stats() if _WORKER_SAT is not None else None,
-        "bdd": _WORKER_WORKSPACE.stats()
-        if _WORKER_WORKSPACE is not None else None,
-    }
+    return _wire_payload(_WORKER_STATE, job)
 
 
-class ParallelExecutor:
+class ParallelExecutor(_WorkerPool):
     """Fan jobs out over a ``multiprocessing`` pool.
 
     ``processes`` defaults to the machine's CPU count; ``chunksize``
     controls how many consecutive jobs each worker grabs at once
     (larger chunks amortise pickling and keep same-module jobs on one
-    worker's design cache; the default aims at ~4 chunks per worker).
+    worker's warm state; the default aims at ~4 chunks per worker).
 
     Engines registered at runtime via
     :func:`~repro.formal.engine.register_engine` reach workers only
@@ -305,84 +305,42 @@ class ParallelExecutor:
     fail with ``unknown method`` — run those campaigns serially there.
     """
 
+    kind = "parallel"
+
     def __init__(self, processes: Optional[int] = None,
                  chunksize: Optional[int] = None,
-                 share_bdd: bool = False,
-                 workspace_options: Optional[dict] = None,
-                 compile_store: bool = True,
-                 store_options: Optional[dict] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
+                 warm: Optional[WarmSpec] = None) -> None:
         if processes is not None and processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
+        super().__init__(warm)
         self.processes = processes or os.cpu_count() or 1
         self.chunksize = chunksize
-        self.share_bdd = share_bdd
-        self.workspace_options = workspace_options
-        self.compile_store = compile_store
-        self.store_options = store_options
-        self.share_sat = share_sat
-        self.sat_options = sat_options
-        self._fell_back = False
-        self._fallback: Optional[SerialExecutor] = None
-        self._worker_stats: Dict[int, dict] = {}
-        self._sat_worker_stats: Dict[int, dict] = {}
-        self._bdd_worker_stats: Dict[int, dict] = {}
-
-    @property
-    def name(self) -> str:
-        """Reports the *effective* mode: a 1-worker or <=1-job run never
-        creates a pool, and stats must not claim it did."""
-        if self._fell_back:
-            return "parallel[serial-fallback]"
-        return "parallel"
 
     def map(self, jobs: Iterable[CheckJob]) -> Iterator[JobResult]:
         """Stream results in plan order off a ``multiprocessing`` pool
         (``imap`` restores order); falls back to serial for <=1 job or
-        1 worker, where a pool could only add overhead."""
+        1 worker."""
         jobs = list(jobs)
-        if len(jobs) <= 1 or self.processes == 1:
-            # nothing to parallelise — skip the pool overhead entirely
-            self._fell_back = True
-            self._fallback = SerialExecutor(
-                share_bdd=self.share_bdd,
-                workspace_options=self.workspace_options,
-                compile_store=self.compile_store,
-                store_options=self.store_options,
-                share_sat=self.share_sat,
-                sat_options=self.sat_options,
-            )
+        if self._fall_back(jobs, self.processes):
             yield from self._fallback.map(jobs)
             return
-        self._fell_back = False
-        self._fallback = None
-        self._worker_stats = {}
-        self._sat_worker_stats = {}
-        self._bdd_worker_stats = {}
         # the parent's own store only pays for FAIL-trace decodes (a
         # recompile per failing module), so the default bounds are fine
-        decode_store = _build_store(self.compile_store,
-                                    self.store_options)
+        decode_store = self.warm.build().store
         chunksize = self.chunksize or max(
             1, len(jobs) // (self.processes * 4)
         )
         context = _pool_context()
         pool = context.Pool(processes=self.processes,
                             initializer=_init_worker,
-                            initargs=(self.share_bdd,
-                                      self.workspace_options,
-                                      self.compile_store,
-                                      self.store_options,
-                                      self.share_sat,
-                                      self.sat_options))
+                            initargs=(self.warm,))
         closed = False
         try:
             payloads = pool.imap(_worker_run, jobs, chunksize)
             for job, payload in zip(jobs, payloads):
-                self._note_payload_stats(payload)
+                self._warm_stats.note(payload["pid"], payload["warm"])
                 yield decode_job_result(payload["result"], job,
                                         decode_store)
             # reached when the consumer drives the generator past the
@@ -396,37 +354,6 @@ class ParallelExecutor:
                 pool.terminate()
                 pool.join()
 
-    def _note_payload_stats(self, payload: dict) -> None:
-        pid = payload["pid"]
-        if payload.get("store") is not None:
-            _note_worker_stats(self._worker_stats, pid, payload["store"])
-        if payload.get("sat") is not None:
-            _note_worker_stats(self._sat_worker_stats, pid, payload["sat"])
-        if payload.get("bdd") is not None:
-            _note_worker_stats(self._bdd_worker_stats, pid, payload["bdd"])
-
-    def compile_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker store counters from the last ``map``
-        (each worker ships its latest snapshot with every result);
-        ``{}`` when the store is off."""
-        if self._fallback is not None:
-            return self._fallback.compile_stats()
-        return _merge_worker_stats(self._worker_stats)
-
-    def sat_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker SAT-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.sat_stats()
-        return _merge_worker_stats(self._sat_worker_stats)
-
-    def workspace_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker BDD-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.workspace_stats()
-        return _merge_worker_stats(self._bdd_worker_stats)
-
 
 def _pool_context():
     """Prefer fork (no re-import, cheap job shipping); fall back to the
@@ -437,12 +364,7 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def _steal_worker(job_queue, result_queue, share_bdd: bool = False,
-                  workspace_options: Optional[dict] = None,
-                  compile_store: bool = True,
-                  store_options: Optional[dict] = None,
-                  share_sat: bool = False,
-                  sat_options: Optional[dict] = None) -> None:
+def _steal_worker(job_queue, result_queue, warm: WarmSpec) -> None:
     """Worker loop: pull one work unit at a time until the ``None``
     pill.  A unit is a list of jobs — one job under FIFO scheduling,
     one module's whole job group under module-affinity scheduling (see
@@ -450,33 +372,25 @@ def _steal_worker(job_queue, result_queue, share_bdd: bool = False,
     next pull, each result shipped individually so the parent's
     plan-order stream stays as responsive as single-job stealing.
 
-    Each payload is ``(job index, pickled wire dict | BaseException)``
-    — the wire dict carries the encoded result plus this worker's pid
-    and store counters; the parent re-raises exceptions when their
-    job's turn in plan order comes up, matching
-    ``ParallelExecutor``'s error propagation through ``imap``.  A
-    failing job poisons only the rest of its own unit (skipped — their
-    results would be thrown away anyway); the worker keeps stealing
-    other units, exactly like the single-job loop kept stealing other
-    jobs.  Pickling happens here, in the worker, so an unpicklable
-    error (a custom engine raising an exotic exception) turns into a
-    descriptive RuntimeError instead of dying silently in the queue's
-    feeder thread and masquerading as a dead worker; results
-    themselves are plain JSON-able dicts and always pickle.
+    Each payload is ``(job index, pickled wire dict | BaseException)``;
+    the parent re-raises exceptions when their job's turn in plan
+    order comes up, matching ``ParallelExecutor``'s error propagation
+    through ``imap``.  A failing job poisons only the rest of its own
+    unit (skipped — their results would be thrown away anyway); the
+    worker keeps stealing other units, exactly like the single-job
+    loop kept stealing other jobs.  Pickling happens here, in the
+    worker, so an unpicklable error (a custom engine raising an exotic
+    exception) turns into a descriptive RuntimeError instead of dying
+    silently in the queue's feeder thread and masquerading as a dead
+    worker; results themselves are plain JSON-able dicts and always
+    pickle.
 
-    ``share_bdd`` gives this worker a private multi-manager
-    :class:`~repro.formal.workspace.BddWorkspace`: FIFO-stolen jobs
-    interleave modules, so the worker retains an LRU pool of per-module
-    managers rather than relying on contiguity (module-affinity units
-    make the pool's job trivial — one unit, one hot manager).  The
-    private :class:`~repro.formal.problems.CompiledProblemStore` works
-    the same way: affinity units turn it into one elaboration per
-    module group.
+    The worker's private :class:`WarmState` outlives its units: FIFO
+    steals interleave modules, so each layer's LRU pool keeps several
+    modules warm, while a module-affinity unit turns the store into one
+    elaboration and the BDD workspace into one hot manager per group.
     """
-    store = _build_store(compile_store, store_options)
-    workspace = BddWorkspace(**(workspace_options or {})) \
-        if share_bdd else None
-    sat = _build_sat(share_sat, sat_options)
+    state = warm.build()
     while True:
         unit = job_queue.get()
         if unit is None:
@@ -491,17 +405,7 @@ def _steal_worker(job_queue, result_queue, share_bdd: bool = False,
                 result_queue.put((job.index, failed))
                 continue
             try:
-                payload = {
-                    "result": encode_job_result(
-                        run_check_job(job, store, workspace=workspace,
-                                      sat_workspace=sat)
-                    ),
-                    "pid": os.getpid(),
-                    "store": store.stats() if store is not None else None,
-                    "sat": sat.stats() if sat is not None else None,
-                    "bdd": workspace.stats()
-                    if workspace is not None else None,
-                }
+                payload = _wire_payload(state, job)
             except BaseException as exc:  # ship the failure, keep going
                 payload = exc
             try:
@@ -518,7 +422,7 @@ def _steal_worker(job_queue, result_queue, share_bdd: bool = False,
             result_queue.put((job.index, blob))
 
 
-class WorkStealingExecutor:
+class WorkStealingExecutor(_WorkerPool):
     """Pull-based multiprocessing executor: a shared job queue drained
     by ``processes`` workers, with an ordered reassembly buffer.
 
@@ -534,10 +438,10 @@ class WorkStealingExecutor:
     :class:`~repro.orchestrate.policy.SchedulingPolicy` deciding what
     one "pull" hands a worker: the default FIFO policy hands single
     jobs (maximum balance), the module-affinity policy hands one
-    module's whole job group (one worker keeps that module's shared
-    BDD manager hot).  Scheduling changes steal order and worker
-    affinity only — results are reassembled into plan order either
-    way, so the campaign outcome is policy-invariant.
+    module's whole job group (one worker keeps that module's warm
+    state hot).  Scheduling changes steal order and worker affinity
+    only — results are reassembled into plan order either way, so the
+    campaign outcome is policy-invariant.
 
     ``poll_interval`` is how often the parent, while blocked waiting
     for the next result, checks that workers are still alive — once
@@ -553,46 +457,22 @@ class WorkStealingExecutor:
     ``fork`` start method.
     """
 
+    kind = "work-stealing"
+
     def __init__(self, processes: Optional[int] = None,
                  poll_interval: float = 0.1,
-                 share_bdd: bool = False,
-                 workspace_options: Optional[dict] = None,
                  scheduling=None,
-                 compile_store: bool = True,
-                 store_options: Optional[dict] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
+                 warm: Optional[WarmSpec] = None) -> None:
         if processes is not None and processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         if poll_interval <= 0:
             raise ValueError(
                 f"poll_interval must be > 0, got {poll_interval}"
             )
+        super().__init__(warm)
         self.processes = processes or os.cpu_count() or 1
         self.poll_interval = poll_interval
-        self.share_bdd = share_bdd
-        self.workspace_options = workspace_options
-        self.compile_store = compile_store
-        self.store_options = store_options
-        self.share_sat = share_sat
-        self.sat_options = sat_options
-        if scheduling is None:
-            from .policy import FifoScheduling
-            scheduling = FifoScheduling()
-        self.scheduling = scheduling
-        self._fell_back = False
-        self._fallback: Optional[SerialExecutor] = None
-        self._worker_stats: Dict[int, dict] = {}
-        self._sat_worker_stats: Dict[int, dict] = {}
-        self._bdd_worker_stats: Dict[int, dict] = {}
-
-    @property
-    def name(self) -> str:
-        """Reports the *effective* mode, like :class:`ParallelExecutor`:
-        a 1-worker or <=1-job run never spawns workers."""
-        if self._fell_back:
-            return "work-stealing[serial-fallback]"
-        return "work-stealing"
+        self.scheduling = scheduling or FifoScheduling()
 
     def map(self, jobs: Iterable[CheckJob]) -> Iterator[JobResult]:
         """Stream results in plan order: workers pull jobs one at a
@@ -600,32 +480,11 @@ class WorkStealingExecutor:
         completions by index and yields each result (or raises its
         error) exactly when its plan-order turn comes up."""
         jobs = list(jobs)
-        if len(jobs) <= 1 or self.processes == 1:
-            self._fell_back = True
-            self._fallback = SerialExecutor(
-                share_bdd=self.share_bdd,
-                workspace_options=self.workspace_options,
-                compile_store=self.compile_store,
-                store_options=self.store_options,
-                share_sat=self.share_sat,
-                sat_options=self.sat_options,
-            )
+        if self._fall_back(jobs, self.processes):
             yield from self._fallback.map(jobs)
             return
-        self._fell_back = False
-        self._fallback = None
-        self._worker_stats = {}
-        self._sat_worker_stats = {}
-        self._bdd_worker_stats = {}
-        decode_store = _build_store(self.compile_store,
-                                    self.store_options)
-        units = self.scheduling.batches(jobs)
-        if sorted(job.index for unit in units for job in unit) != \
-                sorted(job.index for job in jobs):
-            raise RuntimeError(
-                f"scheduling policy {self.scheduling.name!r} lost or "
-                f"duplicated jobs while batching"
-            )
+        decode_store = self.warm.build().store
+        units = _batches(self.scheduling, jobs)
         context = _pool_context()
         job_queue = context.Queue()
         result_queue = context.Queue()
@@ -636,13 +495,7 @@ class WorkStealingExecutor:
             job_queue.put(None)  # one stop pill per worker
         workers = [
             context.Process(target=_steal_worker,
-                            args=(job_queue, result_queue,
-                                  self.share_bdd,
-                                  self.workspace_options,
-                                  self.compile_store,
-                                  self.store_options,
-                                  self.share_sat,
-                                  self.sat_options),
+                            args=(job_queue, result_queue, self.warm),
                             daemon=True)
             for _ in range(worker_count)
         ]
@@ -663,7 +516,7 @@ class WorkStealingExecutor:
                 payload = buffered.pop(job.index)
                 if isinstance(payload, BaseException):
                     raise payload
-                self._note_payload_stats(payload)
+                self._warm_stats.note(payload["pid"], payload["warm"])
                 yield decode_job_result(payload["result"], job,
                                         decode_store)
         finally:
@@ -678,37 +531,6 @@ class WorkStealingExecutor:
             for q in (job_queue, result_queue):
                 q.cancel_join_thread()
                 q.close()
-
-    def _note_payload_stats(self, payload: dict) -> None:
-        pid = payload["pid"]
-        if payload.get("store") is not None:
-            _note_worker_stats(self._worker_stats, pid, payload["store"])
-        if payload.get("sat") is not None:
-            _note_worker_stats(self._sat_worker_stats, pid, payload["sat"])
-        if payload.get("bdd") is not None:
-            _note_worker_stats(self._bdd_worker_stats, pid, payload["bdd"])
-
-    def compile_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker store counters from the last ``map``
-        (each worker ships its latest snapshot with every result);
-        ``{}`` when the store is off."""
-        if self._fallback is not None:
-            return self._fallback.compile_stats()
-        return _merge_worker_stats(self._worker_stats)
-
-    def sat_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker SAT-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.sat_stats()
-        return _merge_worker_stats(self._sat_worker_stats)
-
-    def workspace_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker BDD-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.workspace_stats()
-        return _merge_worker_stats(self._bdd_worker_stats)
 
     def _next_payload(self, result_queue, workers: List) -> tuple:
         """Block for the next (index, payload) pair, watching for a

@@ -80,15 +80,10 @@ import uuid
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .executor import (
-    SerialExecutor, _build_sat, _build_store, _merge_worker_stats,
-    _note_worker_stats, _pool_context,
+    WarmSpec, _WorkerPool, _batches, _pool_context, _wire_payload,
 )
-from .job import (
-    CheckJob, JobResult, decode_job_result, encode_job_result,
-    run_check_job,
-)
-
-from ..formal.workspace import BddWorkspace
+from .job import CheckJob, JobResult, decode_job_result
+from .policy import FifoScheduling
 
 
 class FleetError(RuntimeError):
@@ -234,6 +229,10 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
     """One fleet worker's whole life: connect, say hello, serve leases
     until shutdown (or the coordinator's socket dies).
 
+    ``settings`` holds the :class:`~repro.orchestrate.executor.WarmSpec`
+    this worker builds its private warm state from (``warm``) and its
+    ``heartbeat_interval``.
+
     ``jobs`` is the local job universe — inherited in-memory from the
     forking :class:`LocalFleetLauncher`, or re-derived from the config
     file by ``python -m repro fleet worker``.  A lease carries job
@@ -248,12 +247,7 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
     answered); the worker then keeps serving further leases.
     """
     jobs_by_index = {job.index: job for job in (jobs or [])}
-    store = _build_store(settings.get("compile_store", True),
-                         settings.get("store_options"))
-    workspace = BddWorkspace(**(settings.get("workspace_options") or {})) \
-        if settings.get("share_bdd") else None
-    sat = _build_sat(settings.get("share_sat", False),
-                     settings.get("sat_options"))
+    state = settings["warm"].build()
     try:
         sock = socket.create_connection((host, port), timeout=10.0)
     except OSError:
@@ -266,7 +260,7 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
             send_frame(sock, payload)
 
     stop = threading.Event()
-    interval = float(settings.get("heartbeat_interval", 0.5))
+    interval = float(settings["heartbeat_interval"])
     try:
         _send({"type": "hello", "worker": worker_id,
                "pid": os.getpid(), "token": token})
@@ -296,27 +290,14 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
                         job.engine_order = tuple(order) \
                             if order is not None else None
                         try:
-                            job_result = run_check_job(
-                                job, store, workspace=workspace,
-                                sat_workspace=sat,
-                            )
+                            payload = _wire_payload(state, job)
                         except BaseException as exc:
                             failed = (type(exc).__name__, str(exc))
                         else:
-                            _send({
-                                "type": "result",
-                                "lease": lease_id,
-                                "index": index,
-                                "fingerprint": job.fingerprint,
-                                "result": encode_job_result(job_result),
-                                "pid": os.getpid(),
-                                "store": store.stats()
-                                if store is not None else None,
-                                "sat": sat.stats()
-                                if sat is not None else None,
-                                "bdd": workspace.stats()
-                                if workspace is not None else None,
-                            })
+                            _send({"type": "result", "lease": lease_id,
+                                   "index": index,
+                                   "fingerprint": job.fingerprint,
+                                   **payload})
                             continue
                 _send({"type": "error", "lease": lease_id,
                        "index": index, "exc_type": failed[0],
@@ -366,15 +347,8 @@ def run_fleet_worker(config, connect: str, worker_id: str,
         raise ValueError(
             f"--connect must be HOST:PORT, got {connect!r}"
         ) from None
-    settings = {
-        "share_bdd": config.share_bdd,
-        "workspace_options": config.workspace_options(),
-        "compile_store": config.compile_store,
-        "store_options": config.compile_store_options(),
-        "share_sat": config.sat_workspace,
-        "sat_options": config.sat_workspace_options(),
-        "heartbeat_interval": config.fleet_heartbeat_interval,
-    }
+    settings = {"warm": config.warm_spec(),
+                "heartbeat_interval": config.fleet_heartbeat_interval}
     _fleet_worker_main(worker_id, host, port, token, settings,
                        jobs_from_config(config))
     return 0
@@ -536,15 +510,13 @@ class _Lease:
 class _WorkerState:
     """Coordinator-side view of one worker connection."""
 
-    __slots__ = ("name", "conn", "lease", "last_seen", "pid",
-                 "zombie", "dead")
+    __slots__ = ("name", "conn", "lease", "last_seen", "zombie", "dead")
 
     def __init__(self, name: str, conn: socket.socket) -> None:
         self.name = name
         self.conn = conn
         self.lease: Optional[_Lease] = None
         self.last_seen = time.monotonic()
-        self.pid: Optional[int] = None
         self.zombie = False  # stalled: lease revoked, frames rejected
         self.dead = False    # connection gone
 
@@ -594,13 +566,7 @@ class _FleetRun:
     # -- startup -------------------------------------------------------
     def start(self) -> None:
         executor = self.executor
-        units = executor.scheduling.batches(self.jobs)
-        if sorted(job.index for unit in units for job in unit) != \
-                sorted(job.index for job in self.jobs):
-            raise RuntimeError(
-                f"scheduling policy {executor.scheduling.name!r} lost "
-                f"or duplicated jobs while batching"
-            )
+        units = _batches(executor.scheduling, self.jobs)
         self.pending_units.extend(units)
         self.server = socket.create_server(
             (executor.host, executor.port)
@@ -618,7 +584,9 @@ class _FleetRun:
         try:
             handle = self.executor.launcher.launch(
                 name, self.address, self.token,
-                self.executor._worker_settings(), self.jobs,
+                {"warm": self.executor.warm,
+                 "heartbeat_interval": self.executor.heartbeat_interval},
+                self.jobs,
             )
         except Exception as exc:
             raise FleetError(
@@ -691,7 +659,6 @@ class _FleetRun:
                 return
             name = str(frame.get("worker") or f"anon{len(self.workers)}")
             state = _WorkerState(name, conn)
-            state.pid = frame.get("pid")
             self.workers[name] = state
             self.by_conn[conn] = state
             self.stats["jobs_per_worker"].setdefault(name, 0)
@@ -719,6 +686,10 @@ class _FleetRun:
                 self.stats["results_rejected"] += 1
                 self._lose_worker(state)
                 return
+            # warm stats are keyed by the coordinator's own name for the
+            # worker: pids self-reported by workers on different hosts
+            # can collide
+            frame["worker"] = state.name
             self.settled[index] = frame
             self.stats["jobs_per_worker"][state.name] = \
                 self.stats["jobs_per_worker"].get(state.name, 0) + 1
@@ -876,7 +847,7 @@ class _FleetRun:
             _hangup(conn)
 
 
-class FleetExecutor:
+class FleetExecutor(_WorkerPool):
     """Socket-fanout executor: a TCP coordinator leasing plan jobs to
     launcher-started worker processes over the portable wire format.
 
@@ -892,16 +863,18 @@ class FleetExecutor:
     no-heartbeat window after which a worker's lease is revoked and
     re-issued; ``heartbeat_interval`` is the workers' liveness cadence;
     ``max_respawns`` bounds replacement launches (default: the fleet
-    size).  The warm-state trio (``share_bdd`` / ``compile_store`` /
-    ``share_sat`` and their option dicts) is per worker process,
-    exactly as in the multiprocessing pools; ``scheduling`` picks the
-    lease granularity (module-affinity units keep one module's warm
-    state on one worker).
+    size).  ``warm`` is the
+    :class:`~repro.orchestrate.executor.WarmSpec` every worker process
+    builds its private warm state from, exactly as in the
+    multiprocessing pools; ``scheduling`` picks the lease granularity
+    (module-affinity units keep one module's warm state on one worker).
 
     Falls back to in-process serial execution for <=1 job or a 1-worker
     fleet, reporting ``fleet[serial-fallback]`` — a socket round-trip
     to one local worker could only add overhead.
     """
+
+    kind = "fleet"
 
     def __init__(self, workers: Optional[int] = None,
                  host: str = "127.0.0.1",
@@ -911,12 +884,7 @@ class FleetExecutor:
                  launcher=None,
                  scheduling=None,
                  max_respawns: Optional[int] = None,
-                 share_bdd: bool = False,
-                 workspace_options: Optional[dict] = None,
-                 compile_store: bool = True,
-                 store_options: Optional[dict] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
+                 warm: Optional[WarmSpec] = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if lease_timeout <= 0:
@@ -929,6 +897,7 @@ class FleetExecutor:
             )
         if not 0 <= port <= 65535:
             raise ValueError(f"port must be 0..65535, got {port}")
+        super().__init__(warm)
         self.workers = workers or os.cpu_count() or 1
         self.host = host
         self.port = port
@@ -939,43 +908,10 @@ class FleetExecutor:
         elif isinstance(launcher, str):
             launcher = parse_launcher_spec(launcher)
         self.launcher = launcher
-        if scheduling is None:
-            from .policy import FifoScheduling
-            scheduling = FifoScheduling()
-        self.scheduling = scheduling
+        self.scheduling = scheduling or FifoScheduling()
         self.max_respawns = max_respawns if max_respawns is not None \
             else self.workers
-        self.share_bdd = share_bdd
-        self.workspace_options = workspace_options
-        self.compile_store = compile_store
-        self.store_options = store_options
-        self.share_sat = share_sat
-        self.sat_options = sat_options
-        self._fell_back = False
-        self._fallback: Optional[SerialExecutor] = None
         self._run: Optional[_FleetRun] = None
-        self._worker_stats: Dict[object, dict] = {}
-        self._sat_worker_stats: Dict[object, dict] = {}
-        self._bdd_worker_stats: Dict[object, dict] = {}
-
-    @property
-    def name(self) -> str:
-        """Reports the *effective* mode, like the multiprocessing
-        pools: a 1-worker or <=1-job run never opens a socket."""
-        if self._fell_back:
-            return "fleet[serial-fallback]"
-        return "fleet"
-
-    def _worker_settings(self) -> dict:
-        return {
-            "share_bdd": self.share_bdd,
-            "workspace_options": self.workspace_options,
-            "compile_store": self.compile_store,
-            "store_options": self.store_options,
-            "share_sat": self.share_sat,
-            "sat_options": self.sat_options,
-            "heartbeat_interval": self.heartbeat_interval,
-        }
 
     def map(self, jobs: Iterable[CheckJob]) -> Iterator[JobResult]:
         """Stream results in plan order off the fleet: leases go out to
@@ -984,26 +920,11 @@ class FleetExecutor:
         turn — re-leasing behind the scenes whenever a worker dies or
         stalls."""
         jobs = list(jobs)
-        if len(jobs) <= 1 or self.workers == 1:
-            self._fell_back = True
+        if self._fall_back(jobs, self.workers):
             self._run = None
-            self._fallback = SerialExecutor(
-                share_bdd=self.share_bdd,
-                workspace_options=self.workspace_options,
-                compile_store=self.compile_store,
-                store_options=self.store_options,
-                share_sat=self.share_sat,
-                sat_options=self.sat_options,
-            )
             yield from self._fallback.map(jobs)
             return
-        self._fell_back = False
-        self._fallback = None
-        self._worker_stats = {}
-        self._sat_worker_stats = {}
-        self._bdd_worker_stats = {}
-        decode_store = _build_store(self.compile_store,
-                                    self.store_options)
+        decode_store = self.warm.build().store
         run = _FleetRun(self, jobs)
         self._run = run
         try:
@@ -1012,7 +933,8 @@ class FleetExecutor:
                 payload = run.next_payload(job.index)
                 if isinstance(payload, BaseException):
                     raise payload
-                self._note_payload_stats(payload)
+                self._warm_stats.note(payload["worker"],
+                                      payload.get("warm") or {})
                 yield decode_job_result(payload["result"], job,
                                         decode_store)
             # reached when the consumer drives the generator past the
@@ -1021,38 +943,6 @@ class FleetExecutor:
             run.finish()
         finally:
             run.close()
-
-    def _note_payload_stats(self, payload: dict) -> None:
-        pid = payload.get("pid")
-        if payload.get("store") is not None:
-            _note_worker_stats(self._worker_stats, pid, payload["store"])
-        if payload.get("sat") is not None:
-            _note_worker_stats(self._sat_worker_stats, pid,
-                               payload["sat"])
-        if payload.get("bdd") is not None:
-            _note_worker_stats(self._bdd_worker_stats, pid,
-                               payload["bdd"])
-
-    def compile_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker store counters from the last ``map``;
-        ``{}`` when the store is off."""
-        if self._fallback is not None:
-            return self._fallback.compile_stats()
-        return _merge_worker_stats(self._worker_stats)
-
-    def sat_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker SAT-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.sat_stats()
-        return _merge_worker_stats(self._sat_worker_stats)
-
-    def workspace_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker BDD-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.workspace_stats()
-        return _merge_worker_stats(self._bdd_worker_stats)
 
     def fleet_stats(self) -> Dict[str, object]:
         """Transport bookkeeping from the last ``map`` — workers

@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.campaign import BlockSummary, CampaignReport, PropertyResult
 from ..formal.engine import CheckResult, FAIL
-from ..formal.problems import CompiledProblemStore
 from .cache import ResultCache, decode_result
 from .checkpoint import CampaignCheckpoint, plan_digest
 from .config import CampaignConfig
@@ -144,9 +143,7 @@ class CampaignOrchestrator:
         #: recompile to revalidate); executors hold their workers' run
         #: stores separately.  Persistent across run() calls, so a
         #: resume replays against warm designs.
-        self._replay_store: Optional[CompiledProblemStore] = \
-            CompiledProblemStore(**config.compile_store_options()) \
-            if config.compile_store else None
+        self._replay_store = config.warm_spec().build().store
 
     # ------------------------------------------------------------------
     def plan(self) -> CampaignPlan:
@@ -267,9 +264,8 @@ class CampaignOrchestrator:
                 self.cache.flush()
         report.seconds = time.perf_counter() - started
         scheduling = getattr(self.executor, "scheduling", None)
-        compile_stats_fn = getattr(self.executor, "compile_stats", None)
-        sat_stats_fn = getattr(self.executor, "sat_stats", None)
-        bdd_stats_fn = getattr(self.executor, "workspace_stats", None)
+        warm_stats_fn = getattr(self.executor, "warm_stats", None)
+        warm = warm_stats_fn() if warm_stats_fn else {}
         fleet_stats_fn = getattr(self.executor, "fleet_stats", None)
         report.stats = {
             # every record embedding these counters (CLI --stats, the
@@ -285,21 +281,17 @@ class CampaignOrchestrator:
             "portfolio_policy": self.portfolio_policy.name,
             "portfolio_reordered": reordered,
             "engine_attempts": engine_attempts,
-            # hit/miss/evict counters of the content-addressed compile
-            # layer: "run" aggregates the executor's per-worker stores
-            # (empty dict = store off or executor without one),
-            # "replay" is the orchestrator's own store serving journal
-            # and cache decodes
+            # warm-state counters aggregated over the executor's
+            # workers (empty dict = layer off or executor without the
+            # hook); the compile store's "replay" half is the
+            # orchestrator's own store serving journal and cache decodes
             "compile_store": {
-                "run": compile_stats_fn() if compile_stats_fn else {},
+                "run": warm.get("compile_store", {}),
                 "replay": self._replay_store.stats()
                 if self._replay_store is not None else {},
             },
-            # warm-state workspace counters aggregated over the
-            # executor's workers (empty dict = sharing off or executor
-            # without the hook)
-            "sat_workspace": sat_stats_fn() if sat_stats_fn else {},
-            "bdd_workspace": bdd_stats_fn() if bdd_stats_fn else {},
+            "sat_workspace": warm.get("sat_workspace", {}),
+            "bdd_workspace": warm.get("bdd_workspace", {}),
             # fleet transport bookkeeping (workers launched/lost,
             # leases issued/re-issued, rejected results, per-worker job
             # counts); empty dict = not a fleet executor

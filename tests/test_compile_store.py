@@ -22,7 +22,7 @@ from repro.formal.problems import (
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig,
     ModuleAffinityScheduling, ParallelExecutor, SerialExecutor,
-    WorkStealingExecutor, compile_job, decode_job_result,
+    WarmSpec, WorkStealingExecutor, compile_job, decode_job_result,
     encode_job_result, plan_campaign, run_check_job,
 )
 from repro.psl.compile import compile_vunit
@@ -277,11 +277,10 @@ class TestWireCodec:
 
 def _store_variants():
     return [
-        pytest.param(dict(compile_store=True), id="store-on"),
-        pytest.param(dict(compile_store=False), id="store-off"),
-        pytest.param(dict(compile_store=True,
-                          store_options={"max_designs": 1,
-                                         "max_problems": 1}),
+        pytest.param(dict(warm=WarmSpec()), id="store-on"),
+        pytest.param(dict(warm=WarmSpec(store=None)), id="store-off"),
+        pytest.param(dict(warm=WarmSpec(store={"max_designs": 1,
+                                               "max_problems": 1})),
                      id="store-thrashed"),
     ]
 
@@ -322,12 +321,12 @@ class TestCampaignByteIdentity:
         blocks = [("GOLD", [golden]), ("PATCH", [patched])]
         store_on = CampaignOrchestrator(
             blocks, engines=_engines(),
-            executor=SerialExecutor(
-                store_options={"max_designs": 4, "max_problems": 64}),
+            executor=SerialExecutor(warm=WarmSpec(
+                store={"max_designs": 4, "max_problems": 64})),
         ).run()
         store_off = CampaignOrchestrator(
             blocks, engines=_engines(),
-            executor=SerialExecutor(compile_store=False),
+            executor=SerialExecutor(warm=WarmSpec(store=None)),
         ).run()
         assert store_on.canonical_bytes() == store_off.canonical_bytes()
         golden_failures = [r for r in store_on.results
@@ -373,17 +372,17 @@ class TestExecutorStoreWiring:
     def test_serial_store_warm_across_runs(self, buggy_plan):
         executor = SerialExecutor()
         list(executor.map(buggy_plan.jobs))
-        first = executor.compile_stats()
+        first = executor.warm_stats()["compile_store"]
         list(executor.map(buggy_plan.jobs))
-        second = executor.compile_stats()
+        second = executor.warm_stats()["compile_store"]
         assert first["workers"] == 1
         # the second run hits the retained problems outright
         assert second["problem_hits"] >= first["problem_misses"]
 
     def test_store_off_reports_empty_stats(self, buggy_plan):
-        executor = SerialExecutor(compile_store=False)
+        executor = SerialExecutor(warm=WarmSpec(store=None))
         list(executor.map(buggy_plan.jobs))
-        assert executor.compile_stats() == {}
+        assert executor.warm_stats()["compile_store"] == {}
 
     def test_per_worker_stores_in_the_work_stealing_pool(
             self, buggy_plan):
@@ -396,7 +395,7 @@ class TestExecutorStoreWiring:
             processes=2, scheduling=ModuleAffinityScheduling())
         results = list(executor.map(buggy_plan.jobs))
         assert len(results) == len(buggy_plan.jobs)
-        stats = executor.compile_stats()
+        stats = executor.warm_stats()["compile_store"]
         distinct_modules = len({job.module_digest
                                 for job in buggy_plan.jobs})
         assert 1 <= stats["workers"] <= 2
@@ -452,11 +451,10 @@ class TestConfigKnobs:
                                 compile_max_designs=2,
                                 compile_max_problems=5)
         executor = config.build_executor()
-        assert executor.compile_store is True
-        assert executor.store_options == {"max_designs": 2,
-                                          "max_problems": 5}
+        assert executor.warm.store == {"max_designs": 2,
+                                       "max_problems": 5}
         off = CampaignConfig(compile_store=False).build_executor()
-        assert off.store is None
+        assert off.state.store is None
 
     def test_bad_values_rejected(self):
         from repro.orchestrate import ConfigError

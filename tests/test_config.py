@@ -274,19 +274,19 @@ class TestBuilders:
         """The campaign default is shared BDD workspaces; the config
         keeps an explicit off switch."""
         assert CampaignConfig().share_bdd is True
-        assert _config().build_executor().workspace is not None
+        assert _config().build_executor().state.bdd is not None
         off = _config(share_bdd=False).build_executor()
-        assert off.workspace is None
+        assert off.state.bdd is None
         pool = _config(share_bdd=False,
                        executor="workstealing:2").build_executor()
-        assert pool.share_bdd is False
+        assert pool.warm.bdd is None
 
     def test_workspace_valves_forwarded(self):
         executor = _config(executor="parallel:2",
                            workspace_max_managers=3,
                            workspace_retain_memos=False).build_executor()
-        assert executor.workspace_options["max_managers"] == 3
-        assert executor.workspace_options["retain_memos"] is False
+        assert executor.warm.bdd["max_managers"] == 3
+        assert executor.warm.bdd["retain_memos"] is False
 
     def test_cache_and_checkpoint(self, tmp_path):
         config = _config(cache_path=str(tmp_path / "cache.json"),

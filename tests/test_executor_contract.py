@@ -18,7 +18,7 @@ from repro.chip import ComponentChip
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
     ModuleAffinityScheduling, ParallelExecutor, SerialExecutor,
-    WorkStealingExecutor, plan_campaign,
+    WarmSpec, WorkStealingExecutor, plan_campaign,
 )
 
 
@@ -44,26 +44,26 @@ EXECUTORS = [
     # single retained design/problem — per-worker stores must never
     # leak across the boundary or move a verdict
     pytest.param(lambda: WorkStealingExecutor(
-        processes=2, compile_store=False),
+        processes=2, warm=WarmSpec(store=None)),
         id="work-stealing-nostore"),
     pytest.param(lambda: WorkStealingExecutor(
         processes=2, scheduling=ModuleAffinityScheduling(),
-        store_options={"max_designs": 1, "max_problems": 1}),
+        warm=WarmSpec(store={"max_designs": 1, "max_problems": 1})),
         id="work-stealing-tight-store"),
     pytest.param(lambda: ParallelExecutor(
-        processes=2, compile_store=False),
+        processes=2, warm=WarmSpec(store=None)),
         id="parallel-nostore"),
     # SAT-workspace variants: shared incremental solver sessions on,
     # clustering disabled, and LRU-thrashed to one live session — warm
     # solver state must never move a verdict or reorder the stream
     pytest.param(lambda: WorkStealingExecutor(
-        processes=2, share_sat=True),
+        processes=2, warm=WarmSpec(sat={})),
         id="work-stealing-satspace"),
     pytest.param(lambda: ParallelExecutor(
-        processes=2, share_sat=True, sat_options={"cluster_limit": 1}),
+        processes=2, warm=WarmSpec(sat={"cluster_limit": 1})),
         id="parallel-satspace-cluster1"),
     pytest.param(lambda: SerialExecutor(
-        share_sat=True, sat_options={"max_sessions": 1}),
+        warm=WarmSpec(sat={"max_sessions": 1})),
         id="serial-satspace-thrash"),
     # socket-fanout fleet: the same contract over a TCP transport —
     # leases, heartbeats, and the portable job wire format instead of
@@ -74,7 +74,7 @@ EXECUTORS = [
         workers=2, scheduling=ModuleAffinityScheduling()),
         id="fleet-affinity"),
     pytest.param(lambda: FleetExecutor(
-        workers=2, share_sat=True, share_bdd=True),
+        workers=2, warm=WarmSpec(sat={}, bdd={})),
         id="fleet-warm"),
 ]
 
@@ -185,13 +185,77 @@ class TestStreamingContract:
 
     def test_orchestrator_outcome_identical(self, make_executor,
                                             tiny_blocks):
+        """Same report bytes as serial, and ``report.stats`` carries all
+        three warm groups: ``{}`` exactly when that layer is off, a
+        worker count of at least one when it is on."""
         serial = CampaignOrchestrator(
             tiny_blocks, engines=_engines(), executor=SerialExecutor()
         ).run()
+        executor = make_executor()
         other = CampaignOrchestrator(
-            tiny_blocks, engines=_engines(), executor=make_executor()
+            tiny_blocks, engines=_engines(), executor=executor
         ).run()
         assert other.canonical_bytes() == serial.canonical_bytes()
+        layers = getattr(executor, "state", None) or executor.warm
+        for group, layer in WARM_LAYERS.items():
+            counters = _warm_group(other.stats, group)
+            if getattr(layers, layer) is not None:
+                assert counters["workers"] >= 1, group
+            else:
+                assert counters == {}, group
+
+
+#: the warm-state groups of ``report.stats`` (the compile store's
+#: executor half sits under ``"run"``)
+WARM_GROUP_PATHS = {
+    "compile_store": ("compile_store", "run"),
+    "sat_workspace": ("sat_workspace",),
+    "bdd_workspace": ("bdd_workspace",),
+}
+
+#: the ``WarmSpec``/``WarmState`` layer behind each warm group
+WARM_LAYERS = {"compile_store": "store", "sat_workspace": "sat",
+               "bdd_workspace": "bdd"}
+
+
+def _warm_group(stats, group):
+    for key in WARM_GROUP_PATHS[group]:
+        stats = stats[key]
+    return stats
+
+
+#: a serial blocks-A+C campaign's warm groups under the default config
+#: — deterministic, so any drift in the warm-state plumbing shows here
+SERIAL_AC_WARM_GROUPS = {
+    "compile_store": {
+        "design_evictions": 24, "design_hits": 535, "design_misses": 32,
+        "designs": 8, "problem_evictions": 392, "problem_hits": 0,
+        "problem_misses": 456, "problems": 64, "slice_evictions": 0,
+        "slice_hits": 0, "slice_misses": 0, "slices": 0, "workers": 1,
+    },
+    "sat_workspace": {
+        "activations": 912, "clauses_retained": 35679,
+        "cluster_compiles": 111, "clusters": 8, "evictions": 214,
+        "frames_built": 373, "frames_reused": 1067, "group_hits": 0,
+        "group_runs": 0, "group_solves": 0, "leases": 912,
+        "oversize_discards": 0, "retirements": 912, "reuses": 690,
+        "sessions": 8, "workers": 1,
+    },
+    "bdd_workspace": {
+        "evictions": 0, "leases": 0, "managers": 0,
+        "oversize_discards": 0, "reuses": 0, "total_nodes": 0,
+        "workers": 1,
+    },
+}
+
+
+def test_serial_ac_warm_groups_pinned():
+    report = CampaignOrchestrator(
+        ComponentChip(only_blocks=["A", "C"]).blocks,
+        config=CampaignConfig(),
+    ).run()
+    assert {group: _warm_group(report.stats, group)
+            for group in WARM_GROUP_PATHS} == SERIAL_AC_WARM_GROUPS
 
 
 #: cone-addressing variants: the `[coi]` knobs change job fingerprints

@@ -17,7 +17,9 @@ adds on top:
 - a peer that sends garbage frames is dropped and re-leased around —
   one bad peer never wedges the stream;
 - a launcher that cannot keep workers alive exhausts the respawn
-  budget into a loud ``FleetError`` instead of a wedge.
+  budget into a loud ``FleetError`` instead of a wedge;
+- warm-state counters are aggregated per coordinator-named worker, so
+  two workers reporting the same pid still count as two.
 """
 
 import multiprocessing
@@ -39,7 +41,7 @@ from repro.orchestrate import (
     EngineConfig, FleetExecutor, LocalFleetLauncher,
     ModuleAffinityScheduling, SerialExecutor, SshFleetLauncher,
     decode_job_result, encode_job_result, parse_launcher_spec,
-    plan_campaign,
+    plan_campaign, run_check_job,
 )
 from repro.orchestrate.config import CampaignConfig
 from repro.orchestrate.fleet import (
@@ -449,6 +451,87 @@ class StillbornLauncher:
 
     def join(self, handle, timeout=None):
         pass
+
+
+class _SamePidWorker(threading.Thread):
+    """In-process fake worker that serves its leases for real but
+    reports the same pid as its sibling (workers on two hosts can) and
+    a canned warm snapshot: the running count of jobs it served."""
+
+    PID = 4242
+
+    def __init__(self, worker_id, address, token, jobs, barrier):
+        super().__init__(daemon=True)
+        self.worker_id = worker_id
+        self.address = address
+        self.token = token
+        self.jobs = {job.index: job for job in jobs}
+        self.barrier = barrier
+
+    def run(self):
+        sock = socket.create_connection(self.address, timeout=10.0)
+        sock.settimeout(60.0)
+        served = 0
+        try:
+            send_frame(sock, {"type": "hello", "worker": self.worker_id,
+                              "pid": self.PID, "token": self.token})
+            # both workers join before either answers, so each of them
+            # is leased work
+            self.barrier.wait(10.0)
+            while True:
+                frame = recv_frame(sock)
+                if frame is None or frame.get("type") == "shutdown":
+                    return
+                for spec in frame.get("jobs", []):
+                    job = self.jobs[spec["index"]]
+                    result = encode_job_result(run_check_job(job))
+                    served += 1
+                    send_frame(sock, {
+                        "type": "result", "lease": frame["lease"],
+                        "index": job.index,
+                        "fingerprint": job.fingerprint,
+                        "result": result, "pid": self.PID,
+                        "warm": {"compile_store": {"served": served}},
+                    })
+        except (OSError, FrameError, threading.BrokenBarrierError):
+            pass
+        finally:
+            sock.close()
+
+
+class SamePidLauncher(LocalFleetLauncher):
+    """Every launch is a :class:`_SamePidWorker` thread."""
+
+    def __init__(self):
+        self.barrier = threading.Barrier(2)
+
+    def launch(self, worker_id, address, token, settings, jobs):
+        worker = _SamePidWorker(worker_id, address, token, jobs,
+                                self.barrier)
+        worker.start()
+        return worker
+
+    def stop(self, handle):
+        pass
+
+
+class TestWarmStats:
+    def test_same_pid_workers_counted_apart(self, tiny_plan,
+                                            serial_outcomes):
+        """Warm snapshots are keyed by the coordinator's worker name,
+        not the self-reported pid: two workers reporting one pid are
+        two workers, and their counters add up."""
+        executor = FleetExecutor(workers=2, launcher=SamePidLauncher(),
+                                 max_respawns=0)
+        results = list(executor.map(tiny_plan.jobs))
+        assert [_outcome(r) for r in results] == serial_outcomes
+        jobs_per_worker = executor.fleet_stats()["jobs_per_worker"]
+        assert len(jobs_per_worker) == 2
+        assert all(jobs_per_worker.values())
+        warm = executor.warm_stats()
+        assert warm["compile_store"] == {"served": TOTAL_JOBS,
+                                         "workers": 2}
+        assert warm["bdd_workspace"] == warm["sat_workspace"] == {}
 
 
 class TestWorkerFaults:

@@ -21,7 +21,7 @@ from repro.formal.satspace import (
 )
 from repro.orchestrate import (
     CampaignOrchestrator, EngineConfig, ParallelExecutor, SerialExecutor,
-    WorkStealingExecutor, plan_campaign, portfolio,
+    WarmSpec, WarmState, WorkStealingExecutor, plan_campaign, portfolio,
 )
 from repro.psl.compile import compile_assertion, compile_cluster
 
@@ -289,13 +289,11 @@ class TestEngineWarmCold:
 
 def _sat_variants():
     return [
-        pytest.param(dict(share_sat=True), id="sat-on"),
-        pytest.param(dict(share_sat=False), id="sat-off"),
-        pytest.param(dict(share_sat=True,
-                          sat_options={"cluster_limit": 1}),
+        pytest.param(dict(warm=WarmSpec(sat={})), id="sat-on"),
+        pytest.param(dict(warm=WarmSpec()), id="sat-off"),
+        pytest.param(dict(warm=WarmSpec(sat={"cluster_limit": 1})),
                      id="sat-nocluster"),
-        pytest.param(dict(share_sat=True,
-                          sat_options={"max_sessions": 1}),
+        pytest.param(dict(warm=WarmSpec(sat={"max_sessions": 1})),
                      id="sat-thrashed"),
     ]
 
@@ -329,7 +327,7 @@ class TestCampaignByteIdentity:
     def test_report_stats_surface_workspace_counters(self, buggy_blocks):
         report = CampaignOrchestrator(
             buggy_blocks, engines=_engines(),
-            executor=SerialExecutor(share_sat=True),
+            executor=SerialExecutor(warm=WarmSpec(sat={})),
         ).run()
         counters = report.stats["sat_workspace"]
         assert counters["leases"] > 0
@@ -340,15 +338,15 @@ class TestCampaignByteIdentity:
     def test_sharing_off_reports_empty_stats(self, buggy_blocks):
         report = CampaignOrchestrator(
             buggy_blocks, engines=_engines(),
-            executor=SerialExecutor(share_sat=False),
+            executor=SerialExecutor(warm=WarmSpec()),
         ).run()
         assert report.stats["sat_workspace"] == {}
 
     def test_workspace_warm_across_runs(self, buggy_blocks):
-        """An explicit ``sat_workspace=`` keeps sessions alive across
-        two campaigns: the second run reuses instead of recompiling."""
+        """An explicit ``state=`` keeps sessions alive across two
+        campaigns: the second run reuses instead of recompiling."""
         workspace = SatWorkspace()
-        executor = SerialExecutor(sat_workspace=workspace)
+        executor = SerialExecutor(state=WarmState(sat=workspace))
         first = CampaignOrchestrator(
             buggy_blocks, engines=_engines(), executor=executor,
         ).run()
@@ -361,10 +359,11 @@ class TestCampaignByteIdentity:
             compiles_after_first
 
     def test_per_worker_counters_aggregate(self, buggy_blocks):
-        executor = WorkStealingExecutor(processes=2, share_sat=True)
+        executor = WorkStealingExecutor(processes=2,
+                                        warm=WarmSpec(sat={}))
         CampaignOrchestrator(
             buggy_blocks, engines=_engines(), executor=executor,
         ).run()
-        stats = executor.sat_stats()
+        stats = executor.warm_stats()["sat_workspace"]
         assert stats["workers"] >= 1
         assert stats["leases"] > 0

@@ -18,7 +18,8 @@ from repro.formal.engine import (
 from repro.formal.workspace import BddWorkspace, WorkspaceBinding
 from repro.orchestrate import (
     CampaignOrchestrator, EngineConfig, ParallelExecutor, SerialExecutor,
-    WorkStealingExecutor, plan_campaign, run_check_job,
+    WarmSpec, WarmState, WorkStealingExecutor, plan_campaign,
+    run_check_job,
 )
 
 
@@ -43,7 +44,7 @@ def cold_report(small_blocks):
     cold-vs-shared comparison, so the cold side must opt out."""
     return CampaignOrchestrator(
         small_blocks, engines=_bdd_engines(),
-        executor=SerialExecutor(share_bdd=False),
+        executor=SerialExecutor(),
     ).run()
 
 
@@ -280,13 +281,13 @@ class TestCampaignSharing:
         before = nodes_created_total()
         cold_again = CampaignOrchestrator(
             small_blocks, engines=_bdd_engines(),
-            executor=SerialExecutor(share_bdd=False)).run()
+            executor=SerialExecutor()).run()
         cold_nodes = nodes_created_total() - before
         ws = BddWorkspace()
         before = nodes_created_total()
         shared = CampaignOrchestrator(
             small_blocks, engines=_bdd_engines(),
-            executor=SerialExecutor(workspace=ws)).run()
+            executor=SerialExecutor(state=WarmState(bdd=ws))).run()
         shared_nodes = nodes_created_total() - before
         assert shared.canonical_bytes() == cold_report.canonical_bytes()
         assert cold_again.canonical_bytes() == cold_report.canonical_bytes()
@@ -294,9 +295,9 @@ class TestCampaignSharing:
         assert ws.stats()["reuses"] > 0
 
     @pytest.mark.parametrize("make_executor", [
-        lambda: SerialExecutor(share_bdd=True),
-        lambda: ParallelExecutor(processes=2, share_bdd=True),
-        lambda: WorkStealingExecutor(processes=2, share_bdd=True),
+        lambda: SerialExecutor(warm=WarmSpec(bdd={})),
+        lambda: ParallelExecutor(processes=2, warm=WarmSpec(bdd={})),
+        lambda: WorkStealingExecutor(processes=2, warm=WarmSpec(bdd={})),
     ], ids=["serial", "parallel", "work-stealing"])
     def test_byte_identical_across_executors(self, small_blocks,
                                              cold_report, make_executor):
@@ -315,10 +316,10 @@ class TestCampaignSharing:
         starved = (EngineConfig(method="bdd-combined", bdd_nodes=50),)
         cold = CampaignOrchestrator(
             small_blocks, engines=starved,
-            executor=SerialExecutor(share_bdd=False)).run()
+            executor=SerialExecutor()).run()
         shared = CampaignOrchestrator(
             small_blocks, engines=starved,
-            executor=SerialExecutor(share_bdd=True)).run()
+            executor=SerialExecutor(warm=WarmSpec(bdd={}))).run()
         statuses = [r.result.status for r in cold.results]
         assert TIMEOUT in statuses  # the starvation is real
         for cold_record, shared_record in zip(cold.results,
@@ -329,11 +330,11 @@ class TestCampaignSharing:
                 == cold_record.result.status
 
     @pytest.mark.parametrize("make_executor", [
-        lambda opts: SerialExecutor(share_bdd=True, workspace_options=opts),
-        lambda opts: ParallelExecutor(processes=2, share_bdd=True,
-                                      workspace_options=opts),
-        lambda opts: WorkStealingExecutor(processes=2, share_bdd=True,
-                                          workspace_options=opts),
+        lambda opts: SerialExecutor(warm=WarmSpec(bdd=opts)),
+        lambda opts: ParallelExecutor(processes=2,
+                                      warm=WarmSpec(bdd=opts)),
+        lambda opts: WorkStealingExecutor(processes=2,
+                                          warm=WarmSpec(bdd=opts)),
     ], ids=["serial", "parallel", "work-stealing"])
     def test_workspace_options_reach_workers(self, small_blocks,
                                              cold_report, make_executor):
@@ -351,7 +352,7 @@ class TestCampaignSharing:
         """An explicit workspace stays warm across campaigns — the
         ECO-rerun case — and reuses managers from run to run."""
         ws = BddWorkspace()
-        executor = SerialExecutor(workspace=ws)
+        executor = SerialExecutor(state=WarmState(bdd=ws))
         CampaignOrchestrator(small_blocks, engines=_bdd_engines(),
                              executor=executor).run()
         managers_after_first = ws.stats()["managers"]

@@ -267,9 +267,10 @@ def _bench_compile_store(workers):
     Two measurements, store on vs off, all byte-identical outcomes:
 
     - **serial / deterministic** — process-wide elaboration and
-      compilation totals (``repro.formal.problems``): with the store
-      on, a campaign pays one elaboration per distinct module instead
-      of one per job;
+      compilation totals (``repro.formal.problems``; each compilation
+      is one bit-blast): with the store on, a campaign pays one
+      elaboration per distinct module and one bit-blast per distinct
+      (module, vunit) instead of one per job;
     - **affinity-scheduled / throughput** — module-affinity
       work-stealing pool (one queue pull = one module's whole job
       group, exactly the case per-worker stores are built for): job
@@ -345,12 +346,16 @@ def _bench_compile_store(workers):
 
     elaborations_saved = serial_off["elaborations"] - \
         serial_on["elaborations"]
+    # every compile is one bit-blast (compile_cluster is the only
+    # compile that blasts), so the compile count is the blast count
     print(f"  compile store off:  {serial_off['seconds']:7.2f}s serial "
-          f"({serial_off['elaborations']} elaborations), "
+          f"({serial_off['elaborations']} elaborations, "
+          f"{serial_off['compilations']} bit-blasts), "
           f"{pool_off_s:.2f}s affinity pool")
     print(f"  compile store on:   {serial_on['seconds']:7.2f}s serial "
           f"({serial_on['elaborations']} elaborations, "
-          f"{elaborations_saved} saved), "
+          f"{elaborations_saved} saved, "
+          f"{serial_on['compilations']} bit-blasts), "
           f"{pool_on_s:.2f}s affinity pool "
           f"({hits} store hits)")
     if not identical:

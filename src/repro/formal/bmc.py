@@ -127,9 +127,9 @@ def bmc_session(session, assert_name: str, max_bound: int,
     stay behind for the next assertion.
 
     On failure the result carries ``trace=None``: the shared CNF's model
-    lives in cluster-AIG literal numbering, so callers re-derive the
-    canonical counterexample with a cold :func:`bmc` on the assertion's
-    solo-compiled system at the discovered (identical) depth.
+    depends on every earlier solve in the session, so callers re-derive
+    the canonical counterexample with a cold :func:`bmc` on the
+    assertion's view at the discovered (identical) depth.
     """
     solver = session.solver
     before = solver.stats_snapshot()

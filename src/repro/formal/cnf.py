@@ -57,10 +57,13 @@ class CnfContext:
         return self._resolved(aig_lit)
 
     def _encode_cone(self, root: int) -> None:
+        # the walk stops at encoded nodes: an encoded node's whole cone
+        # is encoded (leaves have none), so the new nodes still come in
+        # the full cone's post-order and get the same solver variables
         aig = self.aig
         solver = self.solver
-        for index in aig.cone_nodes([root]):
-            if index in self._map or index == 0:
+        for index in aig.cone_nodes([root], stop=self._map):
+            if index == 0:
                 continue
             kind = aig.kind(index << 1)
             if kind in ("input", "latch"):

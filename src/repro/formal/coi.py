@@ -243,9 +243,9 @@ class ConeIndex:
         match a full compile's; keeps only the cone's registers (in
         declaration order — a slice compile and a full compile list
         the shared latches in the same relative order) and only the
-        property-referenced outputs.  Compiling against the slice may
-        append monitor registers to it — same shared-design contract
-        as any store-cached design; the original is never mutated.
+        property-referenced outputs.  Compiling against the slice adds
+        monitor registers to a copy of it, and the original is never
+        mutated either.
         """
         design = self.design
         sliced = FlatDesign(design.name)

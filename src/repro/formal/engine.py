@@ -38,8 +38,8 @@ likewise honour ``EngineOptions.sat_workspace``: when a
 :class:`~repro.formal.satspace.SatBinding` is attached, they run over
 shared incremental solver sessions — retained frame unrollings and
 learned clauses, per-assertion activation literals — instead of cold
-solvers; failing traces are re-derived cold on the solo-compiled
-system so counterexamples stay byte-canonical (see
+solvers; failing traces are re-derived cold on the assertion's view
+so counterexamples stay byte-canonical (see
 :mod:`repro.formal.satspace`).
 """
 
@@ -224,7 +224,7 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
 
     def _rederive_trace(self, depth: int, stats: Dict[str, object]) -> Trace:
         """Canonical counterexample for a warm-session FAIL: replay the
-        deterministic cold search on the solo-compiled system at the
+        deterministic cold search on the assertion's view at the
         (identical) discovered depth, so trace bytes match a cold run's
         exactly.  Only FAILs pay this extra solve."""
         cold = bmc(self.ts, depth, budget=self.budget)

@@ -1,45 +1,39 @@
 """Content-addressed compiled-problem store — one compile per content.
 
-The methodology checks many assertions per leaf module, and every one
-of them used to pay the full psl → rtl → transition-system pipeline
-almost from scratch: elaboration hid behind a fragile one-entry design
-cache in the job runner, while the partitioner and the vunit compiler
-reused nothing at all.  A :class:`CompiledProblemStore` replaces those
-scattered compile paths with one **content-addressed, LRU-bounded**
-store with a two-level structure mirroring the pipeline's two fixed
-costs:
+The methodology checks many assertions per leaf module.  A
+:class:`CompiledProblemStore` gives them one **content-addressed,
+LRU-bounded** store with a two-level structure mirroring the pipeline's
+two fixed costs:
 
 - **designs** — the elaborated :class:`~repro.rtl.elaborate.FlatDesign`
   of a module, keyed by the module's RTL digest (SHA-256 of its emitted
-  Verilog).  Every assertion of a module compiles against the same
+  Verilog).  Every vunit of a module compiles against the same
   flattened design, so a campaign pays one elaboration per *distinct
   module content* instead of one per job;
-- **problems** — the compiled
-  :class:`~repro.formal.transition.TransitionSystem` of one assertion,
-  keyed by ``(module digest, vunit digest, assert name)``.  Replaying a
-  cached FAIL, re-decoding a checkpoint entry, or re-checking the same
-  assertion hits the compiled problem directly and skips the pipeline
-  entirely.
+- **clusters** — the bit-blasted
+  :class:`~repro.formal.transition.ClusterSystem` of one vunit (every
+  asserted property on one AIG), keyed by ``(module digest, vunit
+  digest)``.  A job's problem is the cluster's memoised
+  per-assertion view, so a campaign pays one bit-blast per *distinct
+  (module, vunit) pair*; the SAT workspace unrolls the same cluster,
+  and replaying a cached FAIL or re-checking an assertion hits the
+  retained view outright.
 
-Digest keying is what makes the store safe **by construction** where
-the old one-entry cache needed an object-identity hack: two distinct
-modules may share a name (a golden and a patched variant planned in one
-campaign), but they can never share an RTL digest — so a store hit can
-only ever return the elaboration of byte-identical RTL, never the
-other variant's.
+Digest keying is what makes the store safe **by construction**: two
+distinct modules may share a name (a golden and a patched variant
+planned in one campaign), but they can never share an RTL digest — so a
+store hit can only ever return the elaboration of byte-identical RTL,
+never the other variant's.
 
-Sharing compiled artifacts is sound because both levels are reused the
-way the pipeline always reused them:
+Sharing compiled artifacts is sound because neither level is ever
+changed after it is built:
 
-- a :class:`FlatDesign` is compiled against by many assertions in
-  sequence; property monitors appended for ``next`` operators are
-  globally uniquely named and stripped by cone-of-influence reduction
-  when a later problem does not reference them (the long-standing
-  shared-design contract of
-  :func:`~repro.psl.compile.compile_assertion`);
-- a :class:`TransitionSystem` is immutable after construction — engines
-  and trace replay only read it — so one compiled problem can serve any
-  number of checks of the same content.
+- :func:`~repro.psl.compile.compile_cluster` adds its property monitors
+  to a private copy of the design, so a retained :class:`FlatDesign` is
+  the module's elaboration and nothing else;
+- a cluster and its views are immutable after construction — engines
+  and trace replay only read them — so one compile serves any number
+  of checks of the same content.
 
 Stores are deliberately **not** shared across processes (exactly like
 :class:`~repro.formal.workspace.BddWorkspace`): each executor worker
@@ -48,10 +42,11 @@ owns its own, which keeps reuse lock-free; module-affinity scheduling
 per-worker store into near-perfect design reuse.
 
 ``max_designs`` / ``max_problems`` bound each level independently
-(least recently used evicted first; ``None`` = unbounded).  Lifetime
-counters (`hits`, `misses`, evictions, per level) surface in
-``CampaignReport.stats["compile_store"]`` and the campaign benchmark's
-compile-store probe.
+(least recently used evicted first; ``None`` = unbounded):
+``max_problems`` counts retained clusters.  Lifetime counters (`hits`,
+`misses`, evictions, per level; the ``problem_*`` counters count cluster
+requests) surface in ``CampaignReport.stats["compile_store"]`` and the
+campaign benchmark's compile-store probe.
 
 The module also keeps process-wide totals —
 :func:`elaborations_total` / :func:`compilations_total` — mirroring
@@ -63,12 +58,12 @@ avoided.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..rtl.elaborate import FlatDesign, elaborate
 from ..rtl.module import Module
 from ..rtl.verilog import emit_module
-from .transition import TransitionSystem
+from .transition import ClusterSystem, TransitionSystem
 
 #: process-wide pipeline counters (monotonic; diff around a run)
 _ELABORATIONS = 0
@@ -82,14 +77,14 @@ def elaborations_total() -> int:
 
 
 def compilations_total() -> int:
-    """Process-wide count of assertion-to-transition-system
-    compilations performed through the compile layer."""
+    """Process-wide count of compiles (one bit-blast each) performed
+    through the compile layer."""
     return _COMPILATIONS
 
 
 def note_elaboration() -> None:
     """Count one elaboration.  The primitives themselves call these —
-    :func:`~repro.psl.compile.compile_assertion` counts its compile
+    :func:`~repro.psl.compile.compile_cluster` counts its compile
     (and its elaboration when it elaborates), the store counts the
     elaborations it performs directly — so every compile path, with or
     without a store, is counted once and store-on/off runs are
@@ -99,7 +94,7 @@ def note_elaboration() -> None:
 
 
 def note_compilation() -> None:
-    """Count one assertion compilation (see :func:`note_elaboration`)."""
+    """Count one compile (see :func:`note_elaboration`)."""
     global _COMPILATIONS
     _COMPILATIONS += 1
 
@@ -112,11 +107,12 @@ def content_digest(text: str) -> str:
 
 
 class CompiledProblemStore:
-    """Two-level LRU store of elaborated designs and compiled problems.
+    """Two-level LRU store of elaborated designs and vunit clusters.
 
     ``design(module)`` returns the module's elaborated
-    :class:`FlatDesign`; ``problem(module, vunit, assert_name)`` returns
-    the assertion's compiled :class:`TransitionSystem` — both served
+    :class:`FlatDesign`; ``cluster(module, vunit)`` the vunit's
+    compiled :class:`ClusterSystem`; ``problem(module, vunit,
+    assert_name)`` the assertion's view of that cluster — all served
     from the store when their content digests match a retained entry,
     compiled (and retained) otherwise.  Callers that already know the
     digests (the campaign planner computes them once per module/vunit)
@@ -129,8 +125,8 @@ class CompiledProblemStore:
         Retain at most this many elaborated designs (least recently
         used evicted first).  ``None`` = unbounded.
     max_problems:
-        Retain at most this many compiled transition systems.
-        ``None`` = unbounded.
+        Retain at most this many compiled clusters.  ``None`` =
+        unbounded.
     """
 
     def __init__(self, max_designs: Optional[int] = 8,
@@ -147,8 +143,10 @@ class CompiledProblemStore:
         self.max_problems = max_problems
         #: module digest -> elaborated design, LRU order (oldest first)
         self._designs: Dict[str, FlatDesign] = {}
-        #: (module digest, vunit digest, assert) -> transition system
-        self._problems: Dict[Tuple[str, str, str], TransitionSystem] = {}
+        #: (module digest, vunit digest) -> the vunit's cluster, and
+        #: ("coi:" + cone digest, vunit digest, assert) -> the one-
+        #: assertion cluster of a slice; LRU order (oldest first)
+        self._clusters: Dict[tuple, ClusterSystem] = {}
         #: module digest -> cone index over the retained design
         #: (derived artifact — lives and dies with its design entry)
         self._cone_indexes: Dict[str, "ConeIndex"] = {}
@@ -194,37 +192,55 @@ class CompiledProblemStore:
         self._designs[key] = design  # (re)insert at most-recent end
         return design
 
-    def problem(self, module: Module, vunit, assert_name: str,
+    def cluster(self, module: Module, vunit,
                 module_digest: Optional[str] = None,
-                vunit_digest: Optional[str] = None) -> TransitionSystem:
-        """The compiled safety problem for one asserted property,
-        served by content.
+                vunit_digest: Optional[str] = None) -> ClusterSystem:
+        """The vunit's compiled cluster — every asserted property on one
+        AIG — served by content.
 
-        A miss compiles the assertion against the (store-served)
-        elaborated design and retains the transition system under
-        ``(module digest, vunit digest, assert name)``.
+        A miss compiles the vunit against the (store-served) elaborated
+        design and retains the cluster under ``(module digest, vunit
+        digest)``.
         """
         module_key = module_digest or content_digest(emit_module(module))
         vunit_key = vunit_digest or content_digest(vunit.emit())
-        key = (module_key, vunit_key, assert_name)
-        ts = self._problems.pop(key, None)
-        if ts is not None:
-            self._problem_hits += 1
-        else:
-            self._problem_misses += 1
+        key = (module_key, vunit_key)
+        cluster = self._hit(key)
+        if cluster is None:
             # deferred: psl.compile sits above this module's layer-mates
             # (it imports formal.transition) — a top-level import here
             # would be cyclic through the package inits
-            from ..psl.compile import compile_assertion
+            from ..psl.compile import compile_cluster
             design = self.design(module, module_digest=module_key)
-            ts = compile_assertion(module, vunit, assert_name,
-                                   design=design)
-            while self.max_problems is not None \
-                    and len(self._problems) >= self.max_problems:
-                self._problems.pop(next(iter(self._problems)))
-                self._problem_evictions += 1
-        self._problems[key] = ts  # (re)insert at most-recent end
-        return ts
+            cluster = self._retain(key, compile_cluster(
+                module, vunit, None, design=design))
+        return cluster
+
+    def problem(self, module: Module, vunit, assert_name: str,
+                module_digest: Optional[str] = None,
+                vunit_digest: Optional[str] = None) -> TransitionSystem:
+        """The compiled safety problem for one asserted property: its
+        memoised view of the vunit's :meth:`cluster`."""
+        from ..psl.compile import asserted_property
+        asserted_property(vunit, assert_name)
+        return self.cluster(module, vunit, module_digest=module_digest,
+                            vunit_digest=vunit_digest).view(assert_name)
+
+    def _hit(self, key: tuple) -> Optional[ClusterSystem]:
+        cluster = self._clusters.pop(key, None)
+        if cluster is not None:
+            self._problem_hits += 1
+            self._clusters[key] = cluster  # re-insert at most-recent end
+        return cluster
+
+    def _retain(self, key: tuple, cluster: ClusterSystem) -> ClusterSystem:
+        self._problem_misses += 1
+        while self.max_problems is not None \
+                and len(self._clusters) >= self.max_problems:
+            self._clusters.pop(next(iter(self._clusters)))
+            self._problem_evictions += 1
+        self._clusters[key] = cluster
+        return cluster
 
     def cone(self, module: Module, vunit, assert_name: str,
              module_digest: Optional[str] = None):
@@ -251,25 +267,24 @@ class CompiledProblemStore:
         """The assertion compiled against its cone-of-influence slice,
         served by *cone* content (:mod:`repro.formal.coi`).
 
-        Problems are retained under ``("coi:" + cone digest, vunit
-        digest, assert name)`` — the prefix keeps cone keys from ever
-        aliasing module-digest keys in the shared ``_problems`` pool —
-        and the sliced designs themselves are retained by cone digest,
-        so cone-equal jobs of different modules (a golden module and
-        its out-of-cone mutants in one sweep) share both levels.  A
-        planner-stamped ``cone_digest`` skips the cone analysis
-        whenever the slice or the compiled problem is already
+        A slice lacks the signals of the vunit's other assertions, so
+        it compiles a one-assertion cluster, retained under ``("coi:" +
+        cone digest, vunit digest, assert name)`` — the prefix keeps
+        cone keys from ever aliasing module-digest keys in the shared
+        cluster pool — and the sliced designs themselves are retained
+        by cone digest, so cone-equal jobs of different modules (a
+        golden module and its out-of-cone mutants in one sweep) share
+        both levels.  A planner-stamped ``cone_digest`` skips the cone
+        analysis whenever the slice or the compiled problem is already
         retained; it is cross-checked against the locally computed
         digest before anything is stored under it.
         """
         vunit_key = vunit_digest or content_digest(vunit.emit())
         if cone_digest is not None:
-            key = (f"coi:{cone_digest}", vunit_key, assert_name)
-            ts = self._problems.pop(key, None)
-            if ts is not None:
-                self._problem_hits += 1
-                self._problems[key] = ts
-                return ts
+            cluster = self._hit((f"coi:{cone_digest}", vunit_key,
+                                 assert_name))
+            if cluster is not None:
+                return cluster.view(assert_name)
         sliced = None if cone_digest is None \
             else self._slices.pop(cone_digest, None)
         if sliced is not None:
@@ -286,12 +301,10 @@ class CompiledProblemStore:
                     f"drift?"
                 )
             cone_digest = info.digest
-            key = (f"coi:{cone_digest}", vunit_key, assert_name)
-            ts = self._problems.pop(key, None)
-            if ts is not None:
-                self._problem_hits += 1
-                self._problems[key] = ts
-                return ts
+            cluster = self._hit((f"coi:{cone_digest}", vunit_key,
+                                 assert_name))
+            if cluster is not None:
+                return cluster.view(assert_name)
             sliced = self._slices.pop(cone_digest, None)
             if sliced is not None:
                 self._slice_hits += 1
@@ -305,31 +318,27 @@ class CompiledProblemStore:
                     self._slices.pop(next(iter(self._slices)))
                     self._slice_evictions += 1
         self._slices[cone_digest] = sliced  # (re)insert at recent end
-        key = (f"coi:{cone_digest}", vunit_key, assert_name)
-        self._problem_misses += 1
-        from ..psl.compile import compile_assertion
-        ts = compile_assertion(module, vunit, assert_name, design=sliced)
-        while self.max_problems is not None \
-                and len(self._problems) >= self.max_problems:
-            self._problems.pop(next(iter(self._problems)))
-            self._problem_evictions += 1
-        self._problems[key] = ts
-        return ts
+        from ..psl.compile import compile_cluster
+        cluster = self._retain(
+            (f"coi:{cone_digest}", vunit_key, assert_name),
+            compile_cluster(module, vunit, [assert_name], design=sliced))
+        return cluster.view(assert_name)
 
     # ------------------------------------------------------------------
     def discard(self) -> None:
-        """Drop every retained design and problem (counters survive);
+        """Drop every retained design and cluster (counters survive);
         the next request compiles cold."""
         self._designs.clear()
-        self._problems.clear()
+        self._clusters.clear()
         self._cone_indexes.clear()
         self._slices.clear()
 
     def stats(self) -> Dict[str, int]:
-        """Lifetime counters plus the current pool shape."""
+        """Lifetime counters plus the current pool shape (``problems``
+        is the number of retained clusters)."""
         return {
             "designs": len(self._designs),
-            "problems": len(self._problems),
+            "problems": len(self._clusters),
             "slices": len(self._slices),
             "design_hits": self._design_hits,
             "design_misses": self._design_misses,
@@ -353,5 +362,5 @@ class CompiledProblemStore:
 
     def __repr__(self) -> str:
         return (f"CompiledProblemStore(designs={len(self._designs)}, "
-                f"problems={len(self._problems)}, "
+                f"clusters={len(self._clusters)}, "
                 f"hits={self._design_hits + self._problem_hits})")

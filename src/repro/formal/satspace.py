@@ -13,10 +13,15 @@ Clustering and sessions
 -----------------------
 
 Assertions are grouped into *clusters* — chunks of one (module, vunit)'s
-asserted properties, at most ``cluster_limit`` per chunk, compiled by
-:func:`~repro.psl.compile.compile_cluster` into a single shared-AIG
-multi-bad :class:`~repro.formal.transition.ClusterSystem`.  Each cluster
-owns up to two sessions, keyed by
+asserted properties, at most ``cluster_limit`` per chunk.  The vunit is
+compiled once, by :func:`~repro.psl.compile.compile_cluster`, into a
+single shared-AIG multi-bad
+:class:`~repro.formal.transition.ClusterSystem`; with a compile store
+the workspace takes that cluster from the store (the one every job's
+problem is a view of) instead of compiling its own.  A vunit with more
+than ``cluster_limit`` assertions gets one chunk spine per chunk over
+the same AIG (:meth:`~repro.formal.transition.ClusterSystem.chunk`).
+Each cluster owns up to two sessions, keyed by
 
     (module digest, vunit digest, chunk index, mode)
 
@@ -58,11 +63,11 @@ verdict — which is why verdicts and depths are identical to cold runs
 and campaign reports stay byte-for-byte canonical.
 
 What warm runs do NOT share is counterexample extraction: the shared
-CNF's model lives in cluster-AIG literal numbering, while canonical
-traces serialize solo-AIG input literals.  Engines therefore re-derive
-failing traces with a cold run on the solo-compiled system at the
-discovered depth — deterministic, hence byte-identical to the cold
-trace — paying the extra solve only on the FAIL minority.
+session's model depends on everything solved in it before, while a
+canonical trace must not.  Engines therefore re-derive failing traces
+with a cold run on the assertion's view at the discovered depth —
+deterministic, hence byte-identical to the cold trace — paying the
+extra solve only on the FAIL minority.
 
 Budgets and memory valves
 -------------------------
@@ -362,8 +367,9 @@ class SatWorkspace:
              module_digest: str = "", vunit_digest: str = "",
              store=None) -> SatBinding:
         """A job-scoped binding for one assertion.  ``store`` (a
-        :class:`~repro.formal.problems.CompiledProblemStore`) lets
-        cluster compilation share elaborated designs."""
+        :class:`~repro.formal.problems.CompiledProblemStore`) serves the
+        vunit's cluster — the same AIG the job's own problem is a view
+        of — so the workspace compiles nothing itself."""
         return SatBinding(self, module, vunit, assert_name,
                           module_digest=module_digest,
                           vunit_digest=vunit_digest, store=store)
@@ -391,11 +397,15 @@ class SatWorkspace:
         if cluster is None:
             members = names[chunk * self.cluster_limit:
                             (chunk + 1) * self.cluster_limit]
-            design = None
-            if store is not None:
-                design = store.design(module, module_digest=module_key)
-            cluster = compile_cluster(module, vunit, members, design=design)
-            self.counters["cluster_compiles"] += 1
+            if store is None:
+                cluster = compile_cluster(module, vunit, members)
+                self.counters["cluster_compiles"] += 1
+            else:
+                cluster = store.cluster(module, vunit,
+                                        module_digest=module_key,
+                                        vunit_digest=vunit_key)
+                if len(members) < len(names):
+                    cluster = cluster.chunk(members)
             limit = self.max_sessions
             while limit is not None and len(self._clusters) >= limit:
                 self._clusters.pop(next(iter(self._clusters)))

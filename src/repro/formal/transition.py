@@ -35,6 +35,8 @@ class TransitionSystem:
     constraint: int = TRUE            # assumption literal
     name: str = ""
     blaster: Optional[BitBlaster] = None
+    _size_stats: Optional[Dict[str, int]] = field(default=None, repr=False,
+                                                  compare=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -71,30 +73,18 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     def coi_reduce(self, extra_roots: Tuple[int, ...] = ()) -> "TransitionSystem":
         """Restrict to the cone of influence of ``bad`` and
-        ``constraint`` (fixpoint through next-state functions).
+        ``constraint``, followed through next-state functions — one
+        walk of the sequential cone (:meth:`Aig.sequential_support`).
 
         ``extra_roots`` widens the cone to additional AIG literals —
         used by :class:`ClusterSystem` to build the union cone over all
         of a cluster's ``bad`` flags."""
-        aig = self.aig
-        relevant: set = set()
-        frontier = [self.bad, self.constraint, *extra_roots]
-        while frontier:
-            _, latch_lits = aig.support(frontier)
-            new = [lit for lit in latch_lits if lit not in relevant]
-            if not new:
-                break
-            relevant.update(new)
-            frontier = [self.next_fn[lit] for lit in new]
-
+        input_set, relevant = self.aig.sequential_support(
+            (self.bad, self.constraint, *extra_roots), self.next_fn)
         latches = [lit for lit in self.latches if lit in relevant]
-        roots = [self.bad, self.constraint, *extra_roots]
-        roots.extend(self.next_fn[lit] for lit in latches)
-        input_lits, _ = aig.support(roots)
-        input_set = set(input_lits)
         inputs = [lit for lit in self.inputs if lit in input_set]
         return TransitionSystem(
-            aig=aig,
+            aig=self.aig,
             inputs=inputs,
             latches=latches,
             init={lit: self.init[lit] for lit in latches},
@@ -107,16 +97,20 @@ class TransitionSystem:
 
     # ------------------------------------------------------------------
     def size_stats(self) -> Dict[str, int]:
-        """Problem-size metrics (reported alongside check results)."""
-        roots = [self.bad, self.constraint]
-        roots.extend(self.next_fn[lit] for lit in self.latches)
-        cone = self.aig.cone_nodes(roots)
-        ands = sum(1 for index in cone if self.aig.kind(index << 1) == "and")
-        return {
-            "latches": len(self.latches),
-            "inputs": len(self.inputs),
-            "ands": ands,
-        }
+        """Problem-size metrics (reported alongside check results),
+        computed once per system."""
+        if self._size_stats is None:
+            roots = [self.bad, self.constraint]
+            roots.extend(self.next_fn[lit] for lit in self.latches)
+            cone = self.aig.cone_nodes(roots)
+            ands = sum(1 for index in cone
+                       if self.aig.kind(index << 1) == "and")
+            self._size_stats = {
+                "latches": len(self.latches),
+                "inputs": len(self.inputs),
+                "ands": ands,
+            }
+        return dict(self._size_stats)
 
     def latch_name(self, lit: int) -> str:
         return self.aig.name_of(lit) or f"latch{lit}"
@@ -163,11 +157,13 @@ class ClusterSystem:
     ``frame(k).lit(bads[name])``.
 
     ``view(name)`` recovers the member's own cone-of-influence-reduced
-    problem over the *same* AIG — semantically the member's solo
-    compilation, differing only in AIG literal numbering.  Views are
-    what per-assertion structure (e.g. induction's unique-states latch
-    list) must be computed from: using the union cone instead would
-    weaken simple-path constraints and change proved depths.
+    problem over the *same* AIG — the transition system every engine
+    checks for that assertion (:func:`~repro.psl.compile.compile_assertion`
+    returns it).  Views are what per-assertion structure (e.g.
+    induction's unique-states latch list) must be computed from: using
+    the union cone instead would weaken simple-path constraints and
+    change proved depths.  ``chunk(names)`` cuts a smaller spine over
+    the same AIG for a subset of the members.
     """
 
     aig: Aig
@@ -223,15 +219,16 @@ class ClusterSystem:
         return list(self.bads)
 
     def view(self, assert_name: str) -> TransitionSystem:
-        """The member's own COI-reduced problem over the shared AIG."""
+        """The member's own COI-reduced problem over the shared AIG,
+        built once and memoised."""
         view = self._views.get(assert_name)
         if view is None:
             view = TransitionSystem(
                 aig=self.aig,
                 inputs=self.spine.inputs,
                 latches=self.spine.latches,
-                init=dict(self.spine.init),
-                next_fn=dict(self.spine.next_fn),
+                init=self.spine.init,
+                next_fn=self.spine.next_fn,
                 bad=self.bads[assert_name],
                 constraint=self.constraint,
                 name=f"{self.name}.{assert_name}",
@@ -239,3 +236,13 @@ class ClusterSystem:
             ).coi_reduce()
             self._views[assert_name] = view
         return view
+
+    def chunk(self, assert_names: List[str]) -> "ClusterSystem":
+        """A cluster of some of the members over the *same* AIG: its
+        spine is their union cone, and it shares this cluster's view
+        memo (a view does not depend on the spine it is cut from)."""
+        bads = {name: self.bads[name] for name in assert_names}
+        spine = self.spine.coi_reduce(extra_roots=tuple(bads.values()))
+        return ClusterSystem(aig=self.aig, spine=spine, bads=bads,
+                             constraint=self.constraint, name=self.name,
+                             blaster=self.blaster, _views=self._views)

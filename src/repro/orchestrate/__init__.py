@@ -65,8 +65,9 @@ Every compile path — the job runner, cache FAIL-replay, checkpoint
 replay, the partitioner's checkpoint pieces, ``compile_vunit`` — runs
 through a per-worker
 :class:`~repro.formal.problems.CompiledProblemStore`: one elaborated
-design per module RTL digest, one compiled transition system per
-``(module digest, vunit digest, assertion)``.  Digest keying makes the
+design per module RTL digest, one compiled vunit cluster (one
+bit-blast) per ``(module digest, vunit digest)``, of which every job's
+problem is its assertion's view.  Digest keying makes the
 golden-vs-patched same-name case safe by construction, campaign
 outcomes are byte-identical with the store on, off, or LRU-bounded
 (tests enforce it across every executor), and the hit/miss/evict
@@ -117,7 +118,7 @@ per-assertion activation literals scoping clauses so retiring one
 assertion (a unit ``¬act``) deactivates its clauses without touching
 its neighbours'.  Verdicts, depths, *and counterexample bytes* are
 sharing-invariant: a warm FAIL re-derives its trace by a cold
-deterministic BMC replay on the solo-compiled system, so
+deterministic BMC replay on the assertion's view, so
 ``CampaignReport.canonical_bytes`` is identical with the workspace on,
 off, or LRU-thrashed (tests enforce it across every executor).  The
 one documented exception mirrors the BDD workspace: a *binding*

@@ -351,7 +351,7 @@ class CampaignConfig:
     compile_store: bool = True
     #: compile-store valve: retained elaborated designs (``None`` = all)
     compile_max_designs: Optional[int] = 8
-    #: compile-store valve: retained compiled problems (``None`` = all)
+    #: compile-store valve: retained vunit clusters (``None`` = all)
     compile_max_problems: Optional[int] = 64
 
     #: ``[coi]`` — cone-of-influence content addressing

@@ -307,13 +307,15 @@ def compile_job(job: CheckJob,
     the content-addressed ``store`` when one is supplied.
 
     The store keys the elaborated design by the module's RTL digest
-    and the compiled problem by ``(module digest, vunit digest,
-    assert name)`` — so a module's many jobs share one elaboration,
-    repeated decodes of the same assertion share one compile, and two
+    and the compiled vunit cluster by ``(module digest, vunit
+    digest)``, serving the job its assertion's view — so a module's
+    many jobs share one elaboration, a vunit's jobs share one
+    bit-blast, repeated decodes of the same assertion share the view,
+    and two
     distinct modules that happen to share a *name* (a golden and a
     patched variant planned together) can never be served each other's
     artifacts: equal digests mean byte-identical RTL by construction.
-    Without a store the job compiles cold.
+    Without a store the job compiles its vunit cold.
 
     A slice-stamped job (``job.compile_slice``, the ``[coi] slice``
     knob) compiles against its cone-of-influence slice instead of the

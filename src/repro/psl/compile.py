@@ -8,17 +8,18 @@ signals, producing
 - a 1-bit ``constraint`` flag conjoining all assumed properties (a
   counterexample must keep it 1 on every cycle).
 
-The monitored design is bit-blasted and handed to the engines as a
-:class:`~repro.formal.transition.TransitionSystem`.  One vunit with
-several ``assert`` directives yields one problem per assert — matching
-the paper's property counting, where each assertion is verified (and
+The monitored design is bit-blasted once per vunit
+(:func:`compile_cluster`) and handed to the engines as one
+:class:`~repro.formal.transition.TransitionSystem` per assert — the
+assertion's cone-of-influence view of the shared AIG — matching the
+paper's property counting, where each assertion is verified (and
 counted) individually.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..formal.problems import note_compilation, note_elaboration
 from ..formal.transition import ClusterSystem, TransitionSystem
@@ -35,17 +36,14 @@ BAD_OUTPUT = "__bad__"
 CONSTRAINT_OUTPUT = "__constraint__"
 
 
-#: process-wide counter so monitor registers never collide, even when
-#: several compilers touch the same design
-_MONITOR_IDS = itertools.count()
-
-
 class PropertyCompiler:
     """Compiles properties of one vunit against one design."""
 
     def __init__(self, design: FlatDesign) -> None:
         self.design = design
-        self._monitor_count = _MONITOR_IDS
+        # numbered per compiler: every compile adds its monitors to its
+        # own design copy, so names depend only on the vunit
+        self._monitor_count = itertools.count()
 
     # ------------------------------------------------------------------
     # boolean layer
@@ -148,25 +146,8 @@ class PropertyCompiler:
 # public API
 # ----------------------------------------------------------------------
 
-def compile_assertion(module: Module, vunit: VUnit, assert_name: str,
-                      design: Optional[FlatDesign] = None) -> TransitionSystem:
-    """Build the safety problem for one ``assert`` of a vunit.
-
-    All ``assume`` directives of the vunit constrain the problem.  The
-    returned transition system is cone-of-influence reduced.
-
-    ``design`` lets callers check against a transformed design (e.g. a
-    cut-point abstraction); monitor registers for ``next`` operators are
-    appended to it (they are globally uniquely named, so passing the
-    same design to several compilations is safe — unused monitors are
-    stripped by cone-of-influence reduction).
-    """
-    if design is None:
-        note_elaboration()
-        design = elaborate(module)
-    note_compilation()
-    compiler = PropertyCompiler(design)
-
+def asserted_property(vunit: VUnit, assert_name: str) -> Property:
+    """The property ``assert_name`` names, which the vunit must assert."""
     prop = vunit.property_named(assert_name)
     if prop is None:
         raise PslError(f"vunit {vunit.name!r} has no property "
@@ -174,23 +155,23 @@ def compile_assertion(module: Module, vunit: VUnit, assert_name: str,
     if (("assert", assert_name)) not in vunit.directives:
         raise PslError(f"property {assert_name!r} is not asserted in "
                        f"vunit {vunit.name!r}")
+    return prop
 
-    bad = compiler.violation(prop)
-    constraint: Expr = Const(1, 1)
-    for _, assumed in vunit.assumed():
-        constraint = constraint & compiler.holds(assumed)
 
-    design.outputs[BAD_OUTPUT] = bad
-    design.outputs[CONSTRAINT_OUTPUT] = constraint
-    blaster = bitblast(design)
-    name = f"{vunit.name}.{assert_name}"
-    ts = TransitionSystem.from_blaster(
-        blaster, BAD_OUTPUT, CONSTRAINT_OUTPUT, name=name
-    )
-    # leave the design reusable for the next assertion
-    del design.outputs[BAD_OUTPUT]
-    del design.outputs[CONSTRAINT_OUTPUT]
-    return ts
+def compile_assertion(module: Module, vunit: VUnit, assert_name: str,
+                      design: Optional[FlatDesign] = None) -> TransitionSystem:
+    """Build the safety problem for one ``assert`` of a vunit.
+
+    All ``assume`` directives of the vunit constrain the problem.  The
+    returned transition system is the assertion's cone-of-influence
+    reduced view of the whole vunit's cluster
+    (:func:`compile_cluster`), named ``vunit.assert``.
+
+    ``design`` lets callers check against a transformed design (e.g. a
+    cut-point abstraction); it is left unchanged.
+    """
+    asserted_property(vunit, assert_name)
+    return compile_cluster(module, vunit, None, design).view(assert_name)
 
 
 def compile_sliced_assertion(module: Module, vunit: VUnit,
@@ -198,10 +179,11 @@ def compile_sliced_assertion(module: Module, vunit: VUnit,
     """Build the safety problem for one ``assert`` from its COI slice.
 
     Elaborates the module fresh, computes the assertion's structural
-    cone (:mod:`repro.formal.coi`), and compiles against the sliced
-    design — only the cone's registers, the full input signature (so
-    input literal numbering matches a full compile and cached
-    counterexample frames replay either way), and the
+    cone (:mod:`repro.formal.coi`), and compiles only this assertion
+    against the sliced design (which lacks the signals of the vunit's
+    other assertions) — only the cone's registers, the full input
+    signature (so input literal numbering matches a full compile and
+    cached counterexample frames replay either way), and the
     property-referenced outputs.  Store-backed callers should prefer
     :meth:`repro.formal.problems.CompiledProblemStore.sliced_problem`,
     which shares cone indexes and slices across jobs.
@@ -212,42 +194,45 @@ def compile_sliced_assertion(module: Module, vunit: VUnit,
     note_elaboration()
     index = ConeIndex(elaborate(module))
     info = index.info(vunit, assert_name)
-    return compile_assertion(module, vunit, assert_name,
-                             design=index.slice(info))
+    return compile_cluster(module, vunit, [assert_name],
+                           design=index.slice(info)).view(assert_name)
 
 
 def compile_cluster(module: Module, vunit: VUnit,
                     assert_names: Optional[List[str]] = None,
                     design: Optional[FlatDesign] = None) -> ClusterSystem:
     """Compile several assertions of one vunit into a single shared-AIG
-    multi-bad problem (the paper's property clustering).
+    multi-bad problem (the paper's property clustering) — the one
+    compile that bit-blasts.
 
     All named assertions (default: every asserted property, in directive
     order) get their own 1-bit ``bad`` output; the vunit's assumptions
     conjoin into one shared constraint; one bit-blast produces one AIG
     serving every member.  The returned
-    :class:`~repro.formal.transition.ClusterSystem` exposes a union-cone
-    *spine* for shared unrolling plus per-assertion COI-reduced views
-    that match each member's solo compilation up to AIG literal
-    numbering.
+    :class:`~repro.formal.transition.ClusterSystem`, named after the
+    vunit, exposes a union-cone *spine* for shared unrolling plus
+    per-assertion COI-reduced views (``vunit.assert``), which are what
+    :func:`compile_assertion` returns.
+
+    Monitor registers and the bad/constraint outputs go on a
+    :meth:`~repro.rtl.elaborate.FlatDesign.copy` of ``design``, so a
+    shared (store-retained) design is never changed and the AIG depends
+    only on the module and vunit content.  The bit-blaster allocates
+    design inputs first, so input literals — all a counterexample frame
+    records — are the same in every compile of the module.
     """
     if design is None:
         note_elaboration()
         design = elaborate(module)
     note_compilation()
+    design = design.copy()
     compiler = PropertyCompiler(design)
 
     if assert_names is None:
         assert_names = [name for name, _ in vunit.asserted()]
     bad_outputs: Dict[str, str] = {}
     for index, assert_name in enumerate(assert_names):
-        prop = vunit.property_named(assert_name)
-        if prop is None:
-            raise PslError(f"vunit {vunit.name!r} has no property "
-                           f"{assert_name!r}")
-        if (("assert", assert_name)) not in vunit.directives:
-            raise PslError(f"property {assert_name!r} is not asserted in "
-                           f"vunit {vunit.name!r}")
+        prop = asserted_property(vunit, assert_name)
         output = f"{BAD_OUTPUT}{index}"
         design.outputs[output] = compiler.violation(prop)
         bad_outputs[assert_name] = output
@@ -257,16 +242,9 @@ def compile_cluster(module: Module, vunit: VUnit,
         constraint = constraint & compiler.holds(assumed)
     design.outputs[CONSTRAINT_OUTPUT] = constraint
 
-    blaster = bitblast(design)
-    cluster = ClusterSystem.from_blaster(
-        blaster, bad_outputs, CONSTRAINT_OUTPUT,
-        name=f"{vunit.name}[{len(assert_names)}]",
+    return ClusterSystem.from_blaster(
+        bitblast(design), bad_outputs, CONSTRAINT_OUTPUT, name=vunit.name,
     )
-    # leave the design reusable for the next compilation
-    for output in bad_outputs.values():
-        del design.outputs[output]
-    del design.outputs[CONSTRAINT_OUTPUT]
-    return cluster
 
 
 def compile_vunit(module: Module, vunit: VUnit,
@@ -275,17 +253,13 @@ def compile_vunit(module: Module, vunit: VUnit,
 
     ``store`` (a :class:`~repro.formal.problems.CompiledProblemStore`,
     duck-typed to keep this front-end layer free of upward imports)
-    routes every compilation through the shared content-addressed
-    layer: the vunit's assertions — and every other compilation of the
-    same module content anywhere in the process — share one elaborated
-    design, and re-compiling an unchanged assertion returns the
-    retained transition system outright.  Without a store each
-    assertion elaborates and compiles cold, as before.
+    routes the compile through the shared content-addressed layer: the
+    vunit's cluster — and the elaborated design under it — is served to
+    every other compilation of the same content in the process.
+    Without a store the vunit compiles cold, once.
     """
-    problems = []
-    for assert_name, _ in vunit.asserted():
-        if store is not None:
-            problems.append(store.problem(module, vunit, assert_name))
-        else:
-            problems.append(compile_assertion(module, vunit, assert_name))
-    return problems
+    if store is not None:
+        return [store.problem(module, vunit, assert_name)
+                for assert_name, _ in vunit.asserted()]
+    cluster = compile_cluster(module, vunit)
+    return [cluster.view(assert_name) for assert_name in cluster.members()]

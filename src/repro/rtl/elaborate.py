@@ -41,6 +41,16 @@ class FlatDesign:
         self.regs.append(reg)
         return reg
 
+    def copy(self) -> "FlatDesign":
+        """A copy that owns its register list and output map but shares
+        the input ports (and every expression) with this design, so
+        registers and outputs added to it leave this design unchanged."""
+        clone = FlatDesign(self.name)
+        clone.inputs = self.inputs
+        clone.outputs = dict(self.outputs)
+        clone.regs = list(self.regs)
+        return clone
+
     def state_bits(self) -> int:
         """Total number of state bits (formal problem size metric)."""
         return sum(r.width for r in self.regs)

@@ -11,7 +11,9 @@ build node functions over it.  Literals follow the AIGER convention:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Container, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from .elaborate import FlatDesign
 from .signals import Const, Expr, Input, Op, Reg, mask
@@ -136,9 +138,13 @@ class Aig:
     def num_ands(self) -> int:
         return sum(1 for k in self._kind if k == "and")
 
-    def cone_nodes(self, roots: Sequence[int]) -> List[int]:
+    def cone_nodes(self, roots: Sequence[int],
+                   stop: Container[int] = ()) -> List[int]:
         """Indices of all nodes in the transitive fanin of ``roots``,
-        in topological (fanin-first) order."""
+        in topological (fanin-first) order.  The walk enters no node
+        whose index is in ``stop`` (nor, through it, its fanin); the
+        order of the nodes it does return is unchanged as long as the
+        fanin of every ``stop`` node is in ``stop`` too."""
         seen = set()
         order: List[int] = []
         stack = [(lit >> 1, False) for lit in roots]
@@ -147,7 +153,7 @@ class Aig:
             if expanded:
                 order.append(index)
                 continue
-            if index in seen:
+            if index in seen or index in stop:
                 continue
             seen.add(index)
             stack.append((index, True))
@@ -168,6 +174,37 @@ class Aig:
                 ins.append(index << 1)
             elif kind == "latch":
                 lats.append(index << 1)
+        return ins, lats
+
+    def sequential_support(self, roots: Sequence[int],
+                           next_fn: Dict[int, int]
+                           ) -> Tuple[set, set]:
+        """(input literals, latch literals) in the *sequential* cone of
+        ``roots``: the combinational cone, followed through the
+        next-state literal ``next_fn[latch]`` of every latch it reaches.
+        One walk — each node is visited once, however many latches
+        share its logic."""
+        kinds = self._kind
+        fanins = self._fanin
+        seen = set()
+        ins: set = set()
+        lats: set = set()
+        stack = [lit >> 1 for lit in roots]
+        while stack:
+            index = stack.pop()
+            if index in seen:
+                continue
+            seen.add(index)
+            kind = kinds[index]
+            if kind == "and":
+                a, b = fanins[index]
+                stack.append(a >> 1)
+                stack.append(b >> 1)
+            elif kind == "latch":
+                lats.add(index << 1)
+                stack.append(next_fn[index << 1] >> 1)
+            elif kind == "input":
+                ins.add(index << 1)
         return ins, lats
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ executor — including the golden-vs-patched same-name scenario the old
 identity-checked design cache had to special-case.
 """
 
+import importlib
 import json
 
 import pytest
@@ -25,7 +26,11 @@ from repro.orchestrate import (
     WarmSpec, WorkStealingExecutor, compile_job, decode_job_result,
     encode_job_result, plan_campaign, run_check_job,
 )
-from repro.psl.compile import compile_vunit
+from repro.formal.bmc import Unroller, bmc
+from repro.formal.cnf import CnfContext
+from repro.formal.sat import Solver
+from repro.psl.compile import compile_cluster, compile_vunit
+from repro.rtl.elaborate import elaborate
 from repro.rtl.verilog import emit_module
 
 
@@ -64,18 +69,31 @@ class TestStore:
         assert stats["design_misses"] == 1
 
     def test_problem_level_two_tier(self, buggy_plan):
-        """Distinct assertions of one module miss the problem level but
-        hit the design level; a repeated assertion hits outright."""
+        """Assertions of one (module, vunit) share one compiled cluster;
+        another vunit of the same module misses the cluster level but
+        hits the design level; a repeated assertion hits outright."""
         store = CompiledProblemStore()
         jobs = [job for job in buggy_plan.jobs
-                if job.module.name == buggy_plan.jobs[0].module.name]
-        first = compile_job(jobs[0], store)
-        second = compile_job(jobs[1], store)
+                if job.module_digest == buggy_plan.jobs[0].module_digest]
+        same_vunit = [job for job in jobs
+                      if job.vunit_digest == jobs[0].vunit_digest]
+        other_vunit = next(job for job in jobs
+                           if job.vunit_digest != jobs[0].vunit_digest)
+        first = compile_job(same_vunit[0], store)
+        second = compile_job(same_vunit[1], store)
         assert first is not second
-        assert store.stats()["design_hits"] == 1   # reused elaboration
-        assert store.stats()["problem_hits"] == 0
-        assert compile_job(jobs[0], store) is first
-        assert store.stats()["problem_hits"] == 1
+        assert first.aig is second.aig      # one bit-blast per vunit
+        stats = store.stats()
+        assert (stats["problem_misses"], stats["problem_hits"]) == (1, 1)
+        assert (stats["design_misses"], stats["design_hits"]) == (1, 0)
+        third = compile_job(other_vunit, store)
+        assert third.aig is not first.aig
+        stats = store.stats()
+        assert stats["problem_misses"] == 2
+        assert stats["design_hits"] == 1    # reused elaboration
+        assert compile_job(same_vunit[0], store) is first
+        assert store.stats()["problem_hits"] == 2
+        assert store.stats()["problems"] == 2
 
     def test_lru_eviction_under_max_designs_1(self, buggy_plan):
         store = CompiledProblemStore(max_designs=1)
@@ -91,13 +109,22 @@ class TestStore:
         assert stats["designs"] == 1
 
     def test_problem_eviction_bounded(self, buggy_plan):
+        """``max_problems`` bounds the retained (module, vunit)
+        clusters."""
         store = CompiledProblemStore(max_problems=1)
-        jobs = buggy_plan.jobs[:3]
+        pairs = {}
+        for job in buggy_plan.jobs:
+            pairs.setdefault((job.module_digest, job.vunit_digest), job)
+        jobs = list(pairs.values())[:3]
+        assert len(jobs) == 3
         for job in jobs:
             compile_job(job, store)
         stats = store.stats()
         assert stats["problems"] == 1
+        assert stats["problem_misses"] == 3
         assert stats["problem_evictions"] == 2
+        compile_job(jobs[0], store)     # evicted: compiles again
+        assert store.stats()["problem_misses"] == 4
 
     def test_digest_keying_separates_same_name_modules(self):
         """A golden and a patched module share a *name* but never a
@@ -149,6 +176,133 @@ class TestStore:
         compile_job(buggy_plan.jobs[0], store)   # hit: neither counts
         assert elaborations_total() == elaborations + 2
         assert compilations_total() == compilations + 2
+
+
+# ----------------------------------------------------------------------
+# one bit-blast per (module, vunit): every problem is a cluster view
+# ----------------------------------------------------------------------
+
+def _one_assertion_view(module, vunit, assert_name):
+    """An independent compile of one assertion: a fresh elaboration and
+    a cluster of that assertion alone — the oracle a served view (cut
+    from the whole vunit's AIG) must agree with."""
+    return compile_cluster(module, vunit, [assert_name],
+                           design=elaborate(module)).view(assert_name)
+
+
+class _UnprunedCnfContext(CnfContext):
+    """The CNF cone walk without pruning: it visits the whole cone and
+    skips the nodes already encoded."""
+
+    def _encode_cone(self, root):
+        for index in self.aig.cone_nodes([root]):
+            if index in self._map or index == 0:
+                continue
+            if self.aig.kind(index << 1) in ("input", "latch"):
+                self._map[index] = self.solver.new_var() << 1
+                continue
+            a, b = self.aig.fanin(index << 1)
+            lit_a, lit_b = self._resolved(a), self._resolved(b)
+            y = self.solver.new_var() << 1
+            self.solver.add_clause([y ^ 1, lit_a])
+            self.solver.add_clause([y ^ 1, lit_b])
+            self.solver.add_clause([y, lit_a ^ 1, lit_b ^ 1])
+            self._map[index] = y
+
+
+class TestOneBitBlastPerVunit:
+    @pytest.fixture(scope="class")
+    def block_c(self):
+        chip = ComponentChip(defects={"B2"}, only_blocks=["C"])
+        return chip.blocks
+
+    @pytest.fixture(scope="class")
+    def block_c_plan(self, block_c):
+        return plan_campaign(block_c, _engines())
+
+    def test_default_serial_campaign_bitblasts_once_per_vunit(
+            self, block_c, monkeypatch):
+        import repro.psl.compile as psl_compile
+        blasted = []
+        original = psl_compile.bitblast
+
+        def counting(design):
+            blasted.append(design.name)
+            return original(design)
+
+        monkeypatch.setattr(psl_compile, "bitblast", counting)
+        orchestrator = CampaignOrchestrator(block_c,
+                                            config=CampaignConfig())
+        plan = orchestrator.plan()
+        report = orchestrator.run()
+        pairs = {(job.module_digest, job.vunit_digest)
+                 for job in plan.jobs}
+        assert report.total_properties == len(plan.jobs) > len(pairs)
+        assert any(r.result.status == FAIL for r in report.results)
+        assert len(blasted) == len(pairs)
+
+    def test_served_views_match_one_assertion_compiles(self,
+                                                       block_c_plan):
+        store = CompiledProblemStore()
+        failures = 0
+        for job in block_c_plan.jobs:
+            served = compile_job(job, store)
+            oracle = _one_assertion_view(job.module, job.vunit,
+                                         job.assert_name)
+            assert served.name == oracle.name == job.qualified_name
+            assert served.inputs == oracle.inputs
+            assert served.size_stats() == oracle.size_stats()
+            if job.module.name != "C00_fsmctl":
+                continue
+            verdict = ModelChecker(
+                served, budget=job.engines[0].make_budget(),
+            ).check(method=job.engines[0].method)
+            if verdict.status != FAIL:
+                continue
+            failures += 1
+            cold_served = bmc(served, verdict.depth)
+            cold_oracle = bmc(oracle, verdict.depth)
+            assert cold_served.failed and cold_oracle.failed
+            assert cold_served.trace.canonical_frames() == \
+                cold_oracle.trace.canonical_frames()
+        assert failures > 0, "the seeded B2 defect must FAIL"
+        pairs = {(job.module_digest, job.vunit_digest)
+                 for job in block_c_plan.jobs}
+        assert store.stats()["problem_misses"] == len(pairs)
+
+    def test_pruned_cone_walk_encodes_like_the_full_walk(
+            self, block_c_plan, monkeypatch):
+        """Stopping the walk at encoded nodes leaves the variable
+        numbering and every clause unchanged over an unrolling."""
+        # the package re-exports the function ``bmc`` over its module
+        bmc_module = importlib.import_module("repro.formal.bmc")
+        job = block_c_plan.jobs[0]
+        cluster = CompiledProblemStore().cluster(job.module, job.vunit)
+        systems = [cluster.spine] + [cluster.view(name)
+                                     for name in cluster.members()]
+
+        def encode(ts):
+            # the spine encodes every member's bad into each frame, as
+            # a shared session does; a view encodes its own
+            bads = list(cluster.bads.values()) \
+                if ts is cluster.spine else [ts.bad]
+            solver = Solver()
+            unroller = Unroller(ts, solver, constrain_init=True)
+            for frame in range(4):
+                unroller.assert_constraint(frame)
+                for bad in bads:
+                    unroller.frame(frame).lit(bad)
+            return (solver._num_vars, list(solver._trail),
+                    [clause.lits for clause in solver._clauses])
+
+        for ts in systems:
+            pruned = encode(ts)
+            with monkeypatch.context() as patch:
+                patch.setattr(bmc_module, "CnfContext",
+                              _UnprunedCnfContext)
+                unpruned = encode(ts)
+            assert pruned[0] > 0
+            assert pruned == unpruned
 
 
 # ----------------------------------------------------------------------
@@ -387,10 +541,10 @@ class TestExecutorStoreWiring:
     def test_per_worker_stores_in_the_work_stealing_pool(
             self, buggy_plan):
         """Each worker owns a private store: the pool's aggregated
-        counters account one compile per executed job, with at least
-        one design miss per distinct module (no cross-process
-        sharing), and module-affinity batches turn the rest into
-        design hits."""
+        counters account one cluster request per executed job, with at
+        least one cluster miss per distinct (module, vunit) and one
+        design miss per distinct module (no cross-process sharing);
+        module-affinity batches turn the rest into hits."""
         executor = WorkStealingExecutor(
             processes=2, scheduling=ModuleAffinityScheduling())
         results = list(executor.map(buggy_plan.jobs))
@@ -398,12 +552,19 @@ class TestExecutorStoreWiring:
         stats = executor.warm_stats()["compile_store"]
         distinct_modules = len({job.module_digest
                                 for job in buggy_plan.jobs})
+        distinct_vunits = len({(job.module_digest, job.vunit_digest)
+                               for job in buggy_plan.jobs})
         assert 1 <= stats["workers"] <= 2
-        assert stats["design_misses"] >= distinct_modules
-        assert stats["design_misses"] <= \
-            distinct_modules * stats["workers"]
-        assert stats["design_hits"] + stats["design_misses"] == \
+        assert stats["problem_hits"] + stats["problem_misses"] == \
             len(buggy_plan.jobs)
+        assert distinct_vunits <= stats["problem_misses"] <= \
+            distinct_vunits * stats["workers"]
+        assert stats["problem_hits"] > 0
+        # each cluster compile asks for its module's design once
+        assert stats["design_hits"] + stats["design_misses"] == \
+            stats["problem_misses"]
+        assert distinct_modules <= stats["design_misses"] <= \
+            distinct_modules * stats["workers"]
         assert stats["design_hits"] > 0
 
     def test_campaign_stats_surface_run_counters(self, buggy_blocks):
